@@ -10,6 +10,7 @@ Disconnected graphs are first-class; every predicate that the literature states
 from __future__ import annotations
 
 import functools
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -44,6 +45,11 @@ class Graph:
         normalized = set()
         for pair in self.edges:
             u, v = pair
+            if type(u) is not int or type(v) is not int:
+                try:
+                    u, v = operator.index(u), operator.index(v)
+                except TypeError:
+                    raise GraphError(f"edge {tuple(pair)!r} has a non-integer vertex label") from None
             if u == v:
                 raise GraphError(f"loop edge {tuple(pair)!r} is not allowed")
             if not (0 <= u < self.n and 0 <= v < self.n):

@@ -11,11 +11,14 @@ computation possible:
 * triangle corners range over the quarter-lattice (offsets that are multiples
   of 1/4), probe points over the full lattice;
 * for a probe point p and a corner pair (a, b), the largest distance from p to
-  *some* geodesic a-b is a bottleneck-path value over the geodesic DAG of
-  (a, b), and the two far sides of a triangle maximize independently, so no
-  explicit enumeration of geodesic triangles is needed — all geodesic choices
+  *some* geodesic a-b is a bottleneck-path value, tabulated for every b at once
+  by BFS level from a; the two far sides of a triangle maximize independently,
+  so one reduction per probed side covers every apex, and no explicit
+  enumeration of geodesic triangles is needed — all geodesic choices
   (including non-unique geodesics and degenerate two-corner triangles) are
-  still covered exactly.
+  still covered exactly;
+* no sampled value exceeds half the lattice diameter, so the search stops as
+  soon as it reaches that bound.
 
 The pointwise distance-to-union function is piecewise linear with slopes in
 {-1, 0, 1} along the probed side, so the sampled maximum is within half a
@@ -30,10 +33,8 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -101,12 +102,9 @@ class SubdividedLattice:
             return math.inf
         return Fraction(h, self.granularity)
 
-    def vertex_index(self, v: int) -> int:
-        return v  # vertices occupy lattice slots 0..n-1 by construction
-
 
 def subdivided_distances(g: Graph, granularity: int) -> SubdividedLattice:
-    """Split each edge into ``granularity`` segments and BFS all lattice pairs."""
+    """Split each edge into ``granularity`` segments and measure all lattice pairs."""
     if granularity not in GRANULARITIES:
         raise ValueError(f"granularity must be one of {GRANULARITIES}, got {granularity}")
     k = granularity
@@ -127,19 +125,26 @@ def subdivided_distances(g: Graph, granularity: int) -> SubdividedLattice:
             prev = idx
         link(prev, v)
 
-    size = len(points)
-    hops = np.full((size, size), -1, dtype=np.int32)
-    for src in range(size):
-        row = hops[src]
-        row[src] = 0
-        queue = deque([src])
-        while queue:
-            cur = queue.popleft()
-            d = row[cur] + 1
-            for nxt in adj[cur]:
-                if row[nxt] < 0:
-                    row[nxt] = d
-                    queue.append(nxt)
+    # Vertex hops by Floyd-Warshall; a lattice path between two points leaves
+    # each point's edge through one of its ends unless they share the edge.
+    E = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    ends = np.concatenate([np.repeat(np.arange(g.n), 2).reshape(-1, 2), np.repeat(E, k - 1, axis=0)])
+    steps = np.concatenate([np.zeros(g.n, dtype=np.int64), np.tile(np.arange(1, k), len(E))])
+    offs = np.stack([steps, k - steps], axis=1)
+    unreached = k * (g.n + 2)
+    dv = np.full((g.n, g.n), unreached)
+    np.fill_diagonal(dv, 0)
+    dv[E[:, 0], E[:, 1]] = dv[E[:, 1], E[:, 0]] = k
+    for w in range(g.n):
+        np.minimum(dv, dv[:, w, None] + dv[w], out=dv)
+    hops = np.abs(steps[:, None] - steps)
+    hops[(ends[:, None] != ends).any(axis=2)] = unreached
+    for a in (0, 1):
+        for b in (0, 1):
+            via = offs[:, a, None] + dv[np.ix_(ends[:, a], ends[:, b])] + offs[:, b]
+            np.minimum(hops, via, out=hops)
+    hops[hops >= unreached] = -1
+    hops = hops.astype(np.int32)
 
     comp_of_vertex: dict[int, int] = {}
     for ci, comp in enumerate(components(g)):
@@ -207,146 +212,102 @@ def _geodesic_walk(D: np.ndarray, adj: list[list[int]], frm: int, to: int) -> li
     return path
 
 
-def _bottleneck_table(
-    D: np.ndarray, adj: list[list[int]], on_geo: np.ndarray, a: int, b: int
-) -> np.ndarray:
-    """For every probe point p: max over geodesics a-b of min hop distance p-to-path."""
-    nodes = np.flatnonzero(on_geo)
-    order = sorted(nodes, key=lambda q: -int(D[a, q]))
-    table: dict[int, np.ndarray] = {}
-    for q in order:
-        if q == b:
-            table[q] = D[b]
-            continue
-        succ = [r for r in adj[q] if on_geo[r] and D[a, r] == D[a, q] + 1]
-        acc = table[succ[0]]
-        for r in succ[1:]:
-            acc = np.maximum(acc, table[r])
-        table[q] = np.minimum(D[q], acc)
-    return table[a]
+def _farthest_tables(D: np.ndarray, adj: list[list[int]], corners: np.ndarray) -> np.ndarray:
+    """F[i, b, p]: over the geodesics corners[i]-b, the largest min hop distance p-to-path.
+
+    Filled one BFS level from the corner at a time: F[i, b] is D[b] capped by the
+    best F[i, r] over the predecessors r of b (neighbours one level closer).
+    """
+    width = max(len(a) for a in adj)
+    # pad with the point itself, which is never its own predecessor
+    nbr = np.array([list(a) + [q] * (width - len(a)) for q, a in enumerate(adj)])
+    level = D[corners]
+    F = np.empty((len(corners), len(D), len(D)), dtype=D.dtype)
+    F[np.arange(len(corners)), corners] = level
+    for step in range(1, int(level.max()) + 1):
+        ci, q = np.nonzero(level == step)
+        cand = nbr[q]
+        prev = F[ci[:, None], cand]
+        prev[level[ci[:, None], cand] != step - 1] = -1
+        F[ci, q] = np.minimum(D[q], prev.max(axis=1))
+    return F
 
 
 def _bottleneck_path(
-    D: np.ndarray, adj: list[list[int]], on_geo: np.ndarray, a: int, b: int, p: int
+    D: np.ndarray, adj: list[list[int]], far: np.ndarray, a: int, b: int, p: int
 ) -> list[int]:
-    """A geodesic a-b attaining the bottleneck value for probe point p."""
-    nodes = np.flatnonzero(on_geo)
-    order = sorted(nodes, key=lambda q: -int(D[a, q]))
-    val: dict[int, int] = {}
-    for q in order:
-        if q == b:
-            val[q] = int(D[b, p])
-            continue
-        succ = [r for r in adj[q] if on_geo[r] and D[a, r] == D[a, q] + 1]
-        val[q] = min(int(D[q, p]), max(val[r] for r in succ))
-    path = [a]
-    cur = a
-    while cur != b:
-        succ = [r for r in adj[cur] if on_geo[r] and D[a, r] == D[a, cur] + 1]
-        cur = min(succ, key=lambda r: (-val[r], r))
-        path.append(cur)
-    return path
+    """A geodesic a-b attaining far[b, p], walked back from b over corner a's table."""
+    path = [b]
+    while path[-1] != a:
+        cur = path[-1]
+        preds = (r for r in adj[cur] if D[a, r] == D[a, cur] - 1)
+        path.append(max(preds, key=lambda r: (far[r, p], -r)))
+    return path[::-1]
 
 
 def _component_delta(lat: SubdividedLattice, ids: list[int]):
     """Max sampled triangle value (in hops) over one component's lattice points."""
     local_index = {gid: i for i, gid in enumerate(ids)}
-    D = lat.hops[np.ix_(ids, ids)].astype(np.int32)
+    D = lat.hops[np.ix_(ids, ids)]
+    D = D.astype(np.min_scalar_type(-int(D.max()) - 1))
     adj = [
         [local_index[r] for r in lat.adjacency[gid] if r in local_index]
         for gid in ids
     ]
-    quarter = [
-        i
-        for i, gid in enumerate(ids)
-        if (lat.points[gid].offset * 4).denominator == 1
-    ]
-
-    unions: dict[tuple[int, int], np.ndarray] = {}
-    farthest: dict[tuple[int, int], np.ndarray] = {}
-    for a, b in combinations(quarter, 2):
-        on_geo = (D[a] + D[b]) == D[a, b]
-        unions[(a, b)] = on_geo
-        farthest[(a, b)] = _bottleneck_table(D, adj, on_geo, a, b)
+    corners = np.array(
+        [i for i, gid in enumerate(ids) if (lat.points[gid].offset * 4).denominator == 1]
+    )
+    F = _farthest_tables(D, adj, corners)
+    G = F[:, corners]  # G[x, e] = farthest value of geodesics x-e; symmetric in x, e
+    wide = D[corners].astype(np.int32)  # the union test sums two distances
+    # a probe on side e1-e2 is within d(p, e1) and d(p, e2) of the far sides, so
+    # side e1-e2 samples at most d(e1, e2) // 2, and nothing exceeds max(D) // 2
+    ceiling = int(D.max()) // 2
 
     best = 0
     best_args: tuple | None = None
-    evaluations = 0
-
-    def key(x: int, y: int) -> tuple[int, int]:
-        return (x, y) if x < y else (y, x)
-
-    # Degenerate triangles (two corners coincide): probe a geodesic a-b against
-    # the union of a second a-b geodesic and the repeated corner.
-    for a, b in combinations(quarter, 2):
-        far = farthest[(a, b)]
-        mask = unions[(a, b)]
-        for corner in (a, b):
-            vals = np.minimum(D[corner], far)[mask]
-            evaluations += 1
-            v = int(vals.max())
-            if v > best:
-                best = v
-                p = int(np.flatnonzero(mask)[int(vals.argmax())])
-                best_args = ("bigon", corner, (a, b), p)
-
-    # Proper corner triples: probe each side against the two opposite sides.
-    for x, y, z in combinations(quarter, 3):
-        for apex, (e1, e2) in ((x, (y, z)), (y, (x, z)), (z, (x, y))):
-            vals = np.minimum(farthest[key(apex, e1)], farthest[key(apex, e2)])[
-                unions[key(e1, e2)]
-            ]
-            evaluations += 1
-            v = int(vals.max())
-            if v > best:
-                best = v
-                mask = unions[key(e1, e2)]
-                p = int(np.flatnonzero(mask)[int(vals.argmax())])
-                best_args = ("triple", apex, (e1, e2), p)
+    pairs = 0
+    # Probe side e1-e2 (e1 < e2) against the sides from every apex x at once;
+    # x in {e1, e2} is the degenerate two-corner triangle.
+    for e1 in range(len(corners) - 1):
+        if best >= ceiling:
+            break
+        # only sides long enough to beat best
+        e2 = e1 + 1 + np.flatnonzero(wide[e1, corners[e1 + 1 :]] // 2 > best)
+        if not len(e2):
+            continue
+        union = wide[e1] + wide[e2] == wide[e1, corners[e2], None]
+        vals = G[:, e2]
+        vals[:, ~union] = -1
+        np.minimum(vals, G[:, e1, None], out=vals)
+        peaks = vals.max(axis=2)
+        pairs += len(e2)
+        x, j = np.unravel_index(int(peaks.argmax()), peaks.shape)
+        if peaks[x, j] > best:
+            best = int(peaks[x, j])
+            best_args = (int(x), e1, int(e2[j]), int(vals[x, j].argmax()))
 
     witness = None
     if best_args is not None:
-        witness = _build_witness(lat, ids, D, adj, best_args)
-    return best, witness, evaluations, len(quarter)
+        witness = _build_witness(lat, ids, D, adj, F, corners, best_args)
+    return best, witness, len(corners) * pairs, len(corners)
 
 
-def _build_witness(lat, ids, D, adj, args) -> GeodesicTriangle:
-    kind, apex, (e1, e2), p = args
+def _build_witness(lat, ids, D, adj, F, corners, args) -> GeodesicTriangle:
+    x, e1, e2, p = args
+    apex, a, b = (int(corners[c]) for c in (x, e1, e2))
 
     def pts(path: list[int]) -> tuple[MetricPoint, ...]:
         return tuple(lat.points[ids[i]] for i in path)
 
-    def far_side(a: int, b: int) -> list[int]:
-        on_geo = (D[a] + D[b]) == D[a, b]
-        return _bottleneck_path(D, adj, on_geo, a, b, p)
-
-    if kind == "bigon":
-        a, b = e1, e2
-        corner = apex
-        other = b if corner == a else a
-        probe_path = _geodesic_walk(D, adj, other, p) + _geodesic_walk(D, adj, p, corner)[1:]
-        corners = (
-            lat.points[ids[other]],
-            lat.points[ids[corner]],
-            lat.points[ids[corner]],
-        )
-        sides = (
-            (lat.points[ids[corner]],),          # opposite "other": corner-corner
-            tuple(pts(far_side(a, b))),          # second geodesic between the corners
-            tuple(pts(probe_path)),              # geodesic carrying the probe
-        )
-        return GeodesicTriangle(corners, sides, lat.points[ids[p]], probe_side=2)
-
-    probe_path = (
-        _geodesic_walk(D, adj, e1, p) + _geodesic_walk(D, adj, p, e2)[1:]
-    )
-    corners = (lat.points[ids[apex]], lat.points[ids[e1]], lat.points[ids[e2]])
+    probe_path = _geodesic_walk(D, adj, a, p) + _geodesic_walk(D, adj, p, b)[1:]
+    # an apex equal to a or b makes one far side that single corner
     sides = (
-        tuple(pts(probe_path)),        # joins e1-e2, opposite the apex
-        tuple(pts(far_side(apex, e2))),
-        tuple(pts(far_side(apex, e1))),
+        pts(probe_path),  # joins a-b, opposite the apex
+        pts(_bottleneck_path(D, adj, F[x], apex, b, p)),
+        pts(_bottleneck_path(D, adj, F[x], apex, a, p)),
     )
-    return GeodesicTriangle(corners, sides, lat.points[ids[p]], probe_side=0)
+    return GeodesicTriangle(pts([apex, a, b]), sides, lat.points[ids[p]], probe_side=0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -382,7 +343,7 @@ def _hyperbolicity(g: Graph, granularity: int) -> HyperbolicityResult:
         delta = Fraction(math.ceil(quarters), 4)
         rounded = True
 
-    _validate_structural_facts(g, delta)
+    _validate_structural_facts(g, delta, Fraction(int(lat.hops.max(initial=0)), granularity))
     return HyperbolicityResult(
         delta=delta,
         witness=witness,
@@ -393,7 +354,7 @@ def _hyperbolicity(g: Graph, granularity: int) -> HyperbolicityResult:
     )
 
 
-def _validate_structural_facts(g: Graph, delta: Fraction) -> None:
+def _validate_structural_facts(g: Graph, delta: Fraction, diameter: Fraction) -> None:
     # Proven facts about delta of simple unit-edge graphs; a violation here
     # means the computation itself is broken, so fail loudly.
     if (delta * 4).denominator != 1:
@@ -407,3 +368,5 @@ def _validate_structural_facts(g: Graph, delta: Fraction) -> None:
         raise RuntimeError(f"non-forest must have delta >= 3/4, computed {delta}")
     if delta > hyperbolicity_upper_bound(g):
         raise RuntimeError(f"delta={delta} exceeds the m/4 bound {hyperbolicity_upper_bound(g)}")
+    if delta > diameter / 2:
+        raise RuntimeError(f"delta={delta} exceeds half the diameter {diameter}")

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -47,6 +48,14 @@ class TestBuildGraph:
     def test_out_of_range_rejected(self):
         with pytest.raises(GraphError, match="out of range"):
             build_graph(3, [(0, 3)])
+
+    def test_non_integer_label_rejected(self):
+        with pytest.raises(GraphError, match="non-integer"):
+            Graph(3, ((0.0, 1),))
+
+    def test_numpy_integer_labels_accepted(self):
+        g = Graph(3, ((np.int64(0), np.int8(1)),))
+        assert g.edges == ((0, 1),) and g.degrees == (1, 1, 0)
 
     def test_duplicates_collapse(self):
         g = build_graph(3, [(0, 1), (1, 0), (0, 1)])

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import connected_graphs
-from oracles import bfs_distances, delta_oracle
+from conftest import connected_graphs, graphs
+from oracles import bfs_distances, delta_oracle, subdivision_lattice
 from topoline.graph_core import (
     Graph,
     complete_bipartite_graph,
@@ -62,6 +64,14 @@ class TestSubdividedDistances:
             for v in range(g.n):
                 assert lat.distance(src, v) == dist[v]
 
+    @given(graphs(max_n=6), st.sampled_from([2, 4, 8]))
+    @settings(max_examples=25)
+    def test_every_lattice_pair_matches_bfs(self, g, k):
+        # possibly disconnected: cross-component pairs must read -1
+        adj = subdivision_lattice(g, k)
+        expected = np.array([bfs_distances(adj, s) for s in range(len(adj))])
+        assert np.array_equal(subdivided_distances(g, k).hops, expected)
+
 
 class TestHyperbolicityKnownValues:
     @pytest.mark.parametrize("n", range(3, 9))
@@ -81,6 +91,19 @@ class TestHyperbolicityKnownValues:
         # hand-derived: the bigon over midpoints of disjoint edges forces 1,
         # and half the metric diameter caps it at 1
         assert hyperbolicity_constant(complete_graph(4)).delta == 1
+
+    @pytest.mark.parametrize(
+        "g, delta",
+        [
+            (complete_graph(6), 1),
+            (complete_graph(7), 1),
+            (complete_graph(8), 1),
+            (complete_bipartite_graph(4, 4), 1),
+        ],
+        ids=["K6", "K7", "K8", "K44"],
+    )
+    def test_dense_lattices(self, g, delta):
+        assert hyperbolicity_constant(g).delta == delta
 
     def test_disconnected_takes_component_max(self):
         g = disjoint_union(path_graph(3), cycle_graph(5))
@@ -132,6 +155,9 @@ class TestStructuralInvariants:
         else:
             assert delta >= Fraction(3, 4)
         assert delta <= hyperbolicity_upper_bound(g)
+        diameter = Fraction(int(subdivided_distances(g, result.granularity).hops.max()),
+                            result.granularity)
+        assert delta <= diameter / 2
         assert not result.rounded_up
 
     @given(connected_graphs(max_n=6))
@@ -155,6 +181,20 @@ class TestStructuralInvariants:
     def test_trees_and_only_trees_are_zero(self, n):
         for tree in enumerate_trees(n):
             assert hyperbolicity_constant(tree).delta == 0
+
+
+class TestSearchCounters:
+    def test_full_search_counts_every_apex_and_pair(self):
+        # a tree never reaches its diam/2 ceiling, so every corner pair is searched
+        result = hyperbolicity_constant(path_graph(3))
+        q = result.corner_points
+        assert result.evaluations == q * q * (q - 1) // 2
+
+    def test_search_stops_at_half_the_diameter(self):
+        result = hyperbolicity_constant(cycle_graph(4))
+        q = result.corner_points
+        assert result.delta == 1
+        assert 0 < result.evaluations < q * q * (q - 1) // 2
 
 
 def assert_witness_attains(g):
@@ -188,6 +228,12 @@ class TestWitness:
     @given(connected_graphs(min_n=3, max_n=5))
     @settings(max_examples=25)
     def test_witness_attains_delta_on_random_graphs(self, g):
+        assert_witness_attains(g)
+
+    @pytest.mark.parametrize(
+        "g", [complete_bipartite_graph(4, 4), complete_graph(8)], ids=["K44", "K8"]
+    )
+    def test_witness_attains_delta_on_dense_n8(self, g):
         assert_witness_attains(g)
 
     def test_witness_none_for_trees(self):
