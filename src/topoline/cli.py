@@ -55,10 +55,11 @@ def _cmd_compute(args) -> int:
     for g in graphs:
         st = degree_stats(g)
         iv = compute_index_vector(g)
+        g6 = emit_graph6(g) if g.n <= 62 else ""
         records.append(
             GraphRecord(
-                graph_key=emit_graph6(g),
-                graph6=emit_graph6(g),
+                graph_key=g6 or f"<n={g.n}>",
+                graph6=g6,
                 n=st.n,
                 m=st.m,
                 max_degree=st.max_degree,

@@ -31,7 +31,7 @@ from .io_formats import (
     emit_graph6,
     parse_graph6_file,
 )
-from .theorems import GRAPH_CHECKS, THEOREM_IDS
+from .theorems import GRAPH_CHECKS, THEOREM_IDS, _tolerance
 
 ENUMERATION_CAP = 8
 
@@ -104,6 +104,10 @@ def enumerate_trees(n: int) -> tuple[Graph, ...]:
     return tuple(seen[k] for k in sorted(seen))
 
 
+def _graph_key(g: Graph) -> str:
+    return canonical_form(g) if g.n <= CANONICAL_CAP else emit_graph6(g)
+
+
 def enumerate_graphs(spec: EnumerationSpec) -> Iterator[Graph]:
     """One representative per isomorphism class, deterministic canonical order."""
     if spec.n_min > spec.n_max:
@@ -115,8 +119,7 @@ def enumerate_graphs(spec: EnumerationSpec) -> Iterator[Graph]:
         for g in graphs:
             if not spec.n_min <= g.n <= spec.n_max:
                 continue
-            key = canonical_form(g) if g.n <= CANONICAL_CAP else emit_graph6(g)
-            keyed.setdefault(key, g)
+            keyed.setdefault(_graph_key(g), g)
         pool = [keyed[k] for k in sorted(keyed)]
     else:
         if spec.n_max > ENUMERATION_CAP:
@@ -168,17 +171,12 @@ def _normalize_theorems(theorems) -> tuple[str, ...]:
     return tuple(sorted(ids, key=lambda t: int(t[1:])))
 
 
-def _graph_key(g: Graph) -> str:
-    return canonical_form(g) if g.n <= CANONICAL_CAP else emit_graph6(g)
-
-
 def run_verification(
     spec: EnumerationSpec,
     theorems=None,
     *,
     seed: int | None = None,
     timestamp: str | None = None,
-    hyperbolicity_cap: int = 8,
 ) -> RunReport:
     """Check every (graph, applicable theorem) pair and aggregate the outcome.
 
@@ -195,12 +193,7 @@ def run_verification(
         except IsolatedVertexError as exc:
             iv = None
             note = str(exc)
-        checks = []
-        for tid in ids:
-            if tid == "T5":
-                checks.append(GRAPH_CHECKS[tid](g, cap=hyperbolicity_cap))
-            else:
-                checks.append(GRAPH_CHECKS[tid](g))
+        checks = [GRAPH_CHECKS[tid](g) for tid in ids]
         records.append(
             GraphRecord(
                 graph_key=_graph_key(g),
@@ -266,14 +259,9 @@ def extremal_search(q: ExtremalQuery) -> list[tuple[Graph, Fraction | float]]:
         raise ValueError(f"no eligible graphs in class {q.graph_class!r} at n={q.n}")
 
     sign = 1 if q.objective == "max" else -1
-    exact = all(isinstance(v, (Fraction, int)) for _, v in values)
-    if exact:
-        best = max((sign * v for _, v in values))
-        winners = [(g, v) for g, v in values if sign * v == best]
-    else:
-        best = max(sign * float(v) for _, v in values)
-        winners = [
-            (g, v) for g, v in values if abs(sign * float(v) - best) <= 1e-9
-        ]
+    best = max(sign * v for _, v in values)
+    winners = [
+        (g, v) for g, v in values if abs(gap := sign * v - best) <= _tolerance(gap)
+    ]
     winners.sort(key=lambda pair: _graph_key(pair[0]))
     return winners

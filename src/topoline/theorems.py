@@ -8,36 +8,48 @@ index or the hyperbolicity bound fall back to floats with tolerance 1e-9.
 Checks whose preconditions fail return a first-class not-applicable result
 rather than being skipped, so reports account for coverage.
 
+Each graph check declares one of three cumulative precondition levels:
+
+standing     the standing assumption: n >= 1, m >= 1, no isolated vertex
+non_trivial  standing, and every component has at least 2 edges
+cyclic       non_trivial, connected and not a tree
+
 Catalog (global Delta = max degree, delta_min = min degree, n, m as usual):
 
-T1   M1(G) <= max{2D^2+m^2+(6-2D)m-2D-4, 2D^2+m^2+(4-2D)m+4, m(m-1)}
-T2   GA1(G) + GA1(L(G)) <= half of the T1 maximum            [non-trivial]
-T3   m_L = P/2,  P = M1 - 2m,  m = (M1 - P)/2                [identities]
+T1   M1(G) <= max{2D^2+m^2+(6-2D)m-2D-4, 2D^2+m^2+(4-2D)m+4, m(m-1)}  [standing]
+T2   GA1(G) + GA1(L(G)) <= half of the T1 maximum            [non_trivial]
+T3   m_L = P/2,  P = M1 - 2m,  m = (M1 - P)/2                [non_trivial]
 T4   sqrt((D-1)(d-1))/(D+d-2) * P <= GA1(L(G)) <= P/2  and
-     sqrt(D d)/(D+d) * (M1-P) <= GA1(G) <= (M1-P)/2          [non-trivial]
-T5   GA1(L(G)) >= (4 delta(G) - 1)^(3/2) / (2 delta(G))      [connected non-tree]
+     sqrt(D d)/(D+d) * (M1-P) <= GA1(G) <= (M1-P)/2          [non_trivial]
+T5   GA1(L(G)) >= (4 delta(G) - 1)^(3/2) / (2 delta(G))      [cyclic]
 T6   GA1(G) >= min{1/(2D), 2 sqrt(D d)/(D+d)^2} * M1(G); equality for regular G
-T7   M1(L(G)) = 4m - 4 M1(G) + 2 M2(G) + F(G)                [identity]
+                                                             [standing]
+T7   M1(L(G)) = 4m - 4 M1(G) + 2 M2(G) + F(G)                [non_trivial]
 T8   GA1(L(G)) >= min{1/(4(D-1)), sqrt((D-1)(d-1))/(D+d-2)^2} * M1(L(G))
+                                                             [non_trivial]
 T9   H(G) <= n/2 (equality iff all components regular) and
      H(L(G)) <= m/2 (equality iff all components regular or biregular)
+                                         [standing; line branch non_trivial]
 T10  for integers 3 <= k <= D and x_1..x_k in [1, D], with
      S = sum_j 1/(x_j+k) and T = sum_{i<j} 1/(x_i+x_j+2k-4):
      2/(k-1) * T <= S <= 2(D+2k-3)/(k^2-1) * T   and
      2/(D-1) * T <= S <= (D+3)/4 * T
+     [tuple invariants; on a graph, standing and a vertex of degree >= 3]
 T11  c_low * H(G) <= H(L(G)) <= c_high * H(G) with
      (c_low, c_high) = (8/11, 1) if D < 3, (4/(D+3), D-1) if 3 <= D <= 4,
-     (3/(2D-1), D-1) if D > 4                                 [non-trivial]
+     (3/(2D-1), D-1) if D > 4                                 [non_trivial]
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Union
 
 from .graph_core import (
+    DegreeStats,
     Graph,
     classify_components,
     degree_stats,
@@ -49,7 +61,7 @@ from .hyperbolicity import (
     HyperbolicityCapError,
     hyperbolicity_constant,
 )
-from .indices import compute_index_vector, exact_sqrt
+from .indices import IndexVector, compute_index_vector, exact_sqrt
 from .line_graph import line_graph
 
 REAL_TOLERANCE = 1e-9
@@ -57,6 +69,10 @@ REAL_TOLERANCE = 1e-9
 Value = Union[Fraction, float]
 
 THEOREM_IDS = tuple(f"T{i}" for i in range(1, 12))
+
+#: Per-graph dispatch table used by the verification harness; :func:`_check`
+#: fills it in catalog order.
+GRAPH_CHECKS: dict[str, Callable[[Graph], "BoundCheckResult"]] = {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,32 +124,23 @@ def _not_applicable(theorem_id: str, reason: str) -> BoundCheckResult:
     )
 
 
-def _is_exact(v: Value) -> bool:
-    return isinstance(v, (Fraction, int))
+def _tolerance(diff: Value) -> float:
+    """0 for an exact difference, REAL_TOLERANCE once a float is involved."""
+    return 0 if isinstance(diff, (Fraction, int)) else REAL_TOLERANCE
 
 
 def _compare(theorem_id: str, lhs: Value, rhs: Value, kind: str) -> BoundCheckResult:
     """Build a result for lhs <= rhs ("upper"), lhs >= rhs ("lower") or lhs == rhs."""
-    if _is_exact(lhs) and _is_exact(rhs):
-        diff = Fraction(rhs) - Fraction(lhs)
-        if kind == "upper":
-            slack: Value = diff
-        elif kind == "lower":
-            slack = -diff
-        else:
-            slack = -abs(diff)
-        satisfied = slack >= 0
-        equality = diff == 0 and satisfied
+    diff = rhs - lhs
+    tolerance = _tolerance(diff)
+    if kind == "upper":
+        slack = diff
+    elif kind == "lower":
+        slack = -diff
     else:
-        diff = float(rhs) - float(lhs)
-        if kind == "upper":
-            slack = diff
-        elif kind == "lower":
-            slack = -diff
-        else:
-            slack = -abs(diff)
-        satisfied = slack >= -REAL_TOLERANCE
-        equality = abs(diff) <= REAL_TOLERANCE and satisfied
+        slack = -abs(diff)
+    satisfied = slack >= -tolerance
+    equality = abs(diff) <= tolerance and satisfied
     return BoundCheckResult(theorem_id, lhs, rhs, satisfied, equality, slack)
 
 
@@ -148,14 +155,50 @@ def _combine(theorem_id: str, parts: list[BoundCheckResult], reason: str = "") -
     )
 
 
-def _standing_violation(g: Graph) -> str | None:
+#: Precondition levels, each implying the ones before it.
+_LEVELS = ("standing", "non_trivial", "cyclic")
+
+
+def _unmet(g: Graph, st: DegreeStats, level: int) -> str:
+    """Why ``g`` fails the precondition level, or "" if it meets it."""
     if g.n == 0:
         return "empty graph"
     if g.m == 0:
         return "no edges"
-    if min(g.degrees) == 0:
+    if st.min_degree == 0:
         return "isolated vertex violates the standing assumption"
-    return None
+    if level >= 1 and not st.is_non_trivial:
+        return "trivial graph (a component has fewer than 2 edges)"
+    if level >= 2:
+        if not is_connected(g):
+            return "disconnected graph"
+        if is_forest(g):
+            return "tree: hyperbolicity constant is 0"
+    return ""
+
+
+def _check(theorem_id: str, needs: str = "standing"):
+    """Register a graph check in GRAPH_CHECKS behind its precondition guard.
+
+    The body is called as ``body(g, st, **options)`` with the graph's
+    :class:`DegreeStats` only when ``g`` meets ``needs``; otherwise the check
+    returns a not-applicable result naming the first unmet hypothesis.
+    """
+    level = _LEVELS.index(needs)
+
+    def decorate(body):
+        @functools.wraps(body)
+        def check(g: Graph, **options) -> BoundCheckResult:
+            st = degree_stats(g)
+            reason = _unmet(g, st, level)
+            if reason:
+                return _not_applicable(theorem_id, reason)
+            return body(g, st, **options)
+
+        GRAPH_CHECKS[theorem_id] = check
+        return check
+
+    return decorate
 
 
 def _sqrt_ratio(num_product: int, denom: int) -> Value:
@@ -166,22 +209,8 @@ def _sqrt_ratio(num_product: int, denom: int) -> Value:
     return math.sqrt(num_product) / denom
 
 
-def _min_value(a: Value, b: Value) -> Value:
-    if _is_exact(a) and _is_exact(b):
-        return min(Fraction(a), Fraction(b))
-    return a if float(a) <= float(b) else b
-
-
-def _mul(a: Value, b: Value) -> Value:
-    if _is_exact(a) and _is_exact(b):
-        return Fraction(a) * Fraction(b)
-    return float(a) * float(b)
-
-
-def _add(a: Value, b: Value) -> Value:
-    if _is_exact(a) and _is_exact(b):
-        return Fraction(a) + Fraction(b)
-    return float(a) + float(b)
+def _line_indices(g: Graph) -> IndexVector:
+    return compute_index_vector(line_graph(g).line_graph)
 
 
 def _t1_expressions(max_degree: int, m: int) -> tuple[Fraction, Fraction, Fraction]:
@@ -196,47 +225,30 @@ def _t1_expressions(max_degree: int, m: int) -> tuple[Fraction, Fraction, Fracti
 # T1 .. T11
 
 
-def check_T1_m1_upper(g: Graph) -> BoundCheckResult:
-    violation = _standing_violation(g)
-    if violation:
-        return _not_applicable("T1", violation)
-    st = degree_stats(g)
+@_check("T1")
+def check_T1_m1_upper(g: Graph, st: DegreeStats) -> BoundCheckResult:
     e1, e2, e3 = _t1_expressions(st.max_degree, st.m)
     lhs = compute_index_vector(g).m1
-    top = _compare("T1", lhs, max(e1, e2, e3), "upper")
     # only the max binds; per-expression results are recorded for audit
-    branches = (
-        _compare("T1.near_max_sum", lhs, e1, "upper"),
-        _compare("T1.two_high_degrees", lhs, e2, "upper"),
-        _compare("T1.edge_product", lhs, e3, "upper"),
-    )
-    return BoundCheckResult(
-        "T1", top.lhs, top.rhs, top.satisfied, top.equality, top.slack,
-        branches=branches,
+    return replace(
+        _compare("T1", lhs, max(e1, e2, e3), "upper"),
+        branches=(
+            _compare("T1.near_max_sum", lhs, e1, "upper"),
+            _compare("T1.two_high_degrees", lhs, e2, "upper"),
+            _compare("T1.edge_product", lhs, e3, "upper"),
+        ),
     )
 
 
-def check_T2_ga_sum(g: Graph) -> BoundCheckResult:
-    violation = _standing_violation(g)
-    if violation:
-        return _not_applicable("T2", violation)
-    st = degree_stats(g)
-    if not st.is_non_trivial:
-        return _not_applicable("T2", "trivial graph (a component has fewer than 2 edges)")
-    iv = compute_index_vector(g)
-    ivl = compute_index_vector(line_graph(g).line_graph)
-    lhs = _add(iv.ga1_value(), ivl.ga1_value())
+@_check("T2", needs="non_trivial")
+def check_T2_ga_sum(g: Graph, st: DegreeStats) -> BoundCheckResult:
+    lhs = compute_index_vector(g).ga1_value() + _line_indices(g).ga1_value()
     rhs = max(_t1_expressions(st.max_degree, st.m)) / 2
     return _compare("T2", lhs, rhs, "upper")
 
 
-def check_T3_line_identities(g: Graph) -> BoundCheckResult:
-    violation = _standing_violation(g)
-    if violation:
-        return _not_applicable("T3", violation)
-    st = degree_stats(g)
-    if not st.is_non_trivial:
-        return _not_applicable("T3", "trivial graph (a component has fewer than 2 edges)")
+@_check("T3", needs="non_trivial")
+def check_T3_line_identities(g: Graph, st: DegreeStats) -> BoundCheckResult:
     iv = compute_index_vector(g)
     m_line = Fraction(line_graph(g).line_graph.m)
     parts = [
@@ -247,112 +259,76 @@ def check_T3_line_identities(g: Graph) -> BoundCheckResult:
     return _combine("T3", parts)
 
 
-def check_T4_ga_platt(g: Graph) -> BoundCheckResult:
-    violation = _standing_violation(g)
-    if violation:
-        return _not_applicable("T4", violation)
-    st = degree_stats(g)
-    if not st.is_non_trivial:
-        return _not_applicable("T4", "trivial graph (a component has fewer than 2 edges)")
+@_check("T4", needs="non_trivial")
+def check_T4_ga_platt(g: Graph, st: DegreeStats) -> BoundCheckResult:
     d_max, d_min = st.max_degree, st.min_degree
     iv = compute_index_vector(g)
     ga = iv.ga1_value()
-    ga_line = compute_index_vector(line_graph(g).line_graph).ga1_value()
+    ga_line = _line_indices(g).ga1_value()
     platt = iv.platt
 
     line_coeff = _sqrt_ratio((d_max - 1) * (d_min - 1), d_max + d_min - 2)
     graph_coeff = _sqrt_ratio(d_max * d_min, d_max + d_min)
     two_m = iv.m1 - platt
     parts = [
-        _compare("T4.line_lower", ga_line, _mul(line_coeff, platt), "lower"),
+        _compare("T4.line_lower", ga_line, line_coeff * platt, "lower"),
         _compare("T4.line_upper", ga_line, platt / 2, "upper"),
-        _compare("T4.graph_lower", ga, _mul(graph_coeff, two_m), "lower"),
+        _compare("T4.graph_lower", ga, graph_coeff * two_m, "lower"),
         _compare("T4.graph_upper", ga, two_m / 2, "upper"),
     ]
     return _combine("T4", parts)
 
 
-def check_T5_ga_hyperbolicity(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> BoundCheckResult:
-    violation = _standing_violation(g)
-    if violation:
-        return _not_applicable("T5", violation)
-    st = degree_stats(g)
-    if not st.is_non_trivial:
-        return _not_applicable("T5", "trivial graph (a component has fewer than 2 edges)")
-    if not is_connected(g):
-        return _not_applicable("T5", "disconnected graph")
-    if is_forest(g):
-        return _not_applicable("T5", "tree: hyperbolicity constant is 0")
+@_check("T5", needs="cyclic")
+def check_T5_ga_hyperbolicity(
+    g: Graph, st: DegreeStats, cap: int = DEFAULT_VERTEX_CAP
+) -> BoundCheckResult:
     try:
         delta = hyperbolicity_constant(g, cap=cap).delta
     except HyperbolicityCapError as exc:
         return _not_applicable("T5", str(exc))
-    lhs = compute_index_vector(line_graph(g).line_graph).ga1_value()
+    lhs = _line_indices(g).ga1_value()
     rhs = float(4 * delta - 1) ** 1.5 / float(2 * delta)
-    result = _compare("T5", lhs, rhs, "lower")
-    return BoundCheckResult(
-        "T5", result.lhs, result.rhs, result.satisfied, result.equality,
-        result.slack, reason=f"delta={delta}",
-    )
+    return replace(_compare("T5", lhs, rhs, "lower"), reason=f"delta={delta}")
 
 
-def check_T6_ga_vs_m1(g: Graph) -> BoundCheckResult:
-    violation = _standing_violation(g)
-    if violation:
-        return _not_applicable("T6", violation)
-    st = degree_stats(g)
+@_check("T6")
+def check_T6_ga_vs_m1(g: Graph, st: DegreeStats) -> BoundCheckResult:
     d_max, d_min = st.max_degree, st.min_degree
     iv = compute_index_vector(g)
+    ga = iv.ga1_value()
     c1 = Fraction(1, 2 * d_max)
-    c2 = _mul(2, _sqrt_ratio(d_max * d_min, (d_max + d_min) ** 2))
-    rhs = _mul(_min_value(c1, c2), iv.m1)
-    top = _compare("T6", iv.ga1_value(), rhs, "lower")
+    c2 = 2 * _sqrt_ratio(d_max * d_min, (d_max + d_min) ** 2)
     # only the min binds; both coefficient branches are recorded for audit
-    branches = (
-        _compare("T6.max_degree_branch", iv.ga1_value(), _mul(c1, iv.m1), "lower"),
-        _compare("T6.mixed_branch", iv.ga1_value(), _mul(c2, iv.m1), "lower"),
-    )
-    return BoundCheckResult(
-        "T6", top.lhs, top.rhs, top.satisfied, top.equality, top.slack,
-        branches=branches,
+    return replace(
+        _compare("T6", ga, min(c1, c2, key=float) * iv.m1, "lower"),
+        branches=(
+            _compare("T6.max_degree_branch", ga, c1 * iv.m1, "lower"),
+            _compare("T6.mixed_branch", ga, c2 * iv.m1, "lower"),
+        ),
     )
 
 
-def check_T7_m1_line_identity(g: Graph) -> BoundCheckResult:
-    violation = _standing_violation(g)
-    if violation:
-        return _not_applicable("T7", violation)
-    st = degree_stats(g)
-    if not st.is_non_trivial:
-        return _not_applicable("T7", "trivial graph (a component has fewer than 2 edges)")
+@_check("T7", needs="non_trivial")
+def check_T7_m1_line_identity(g: Graph, st: DegreeStats) -> BoundCheckResult:
     iv = compute_index_vector(g)
-    lhs = compute_index_vector(line_graph(g).line_graph).m1
     rhs = 4 * st.m - 4 * iv.m1 + 2 * iv.m2 + iv.forgotten
-    return _compare("T7", lhs, rhs, "identity")
+    return _compare("T7", _line_indices(g).m1, rhs, "identity")
 
 
-def check_T8_ga_line_lower(g: Graph) -> BoundCheckResult:
-    violation = _standing_violation(g)
-    if violation:
-        return _not_applicable("T8", violation)
-    st = degree_stats(g)
-    if not st.is_non_trivial:
-        return _not_applicable("T8", "trivial graph (a component has fewer than 2 edges)")
+@_check("T8", needs="non_trivial")
+def check_T8_ga_line_lower(g: Graph, st: DegreeStats) -> BoundCheckResult:
     d_max, d_min = st.max_degree, st.min_degree
     iv = compute_index_vector(g)
-    lhs = compute_index_vector(line_graph(g).line_graph).ga1_value()
+    lhs = _line_indices(g).ga1_value()
     c1 = Fraction(1, 4 * (d_max - 1))
     c2 = _sqrt_ratio((d_max - 1) * (d_min - 1), (d_max + d_min - 2) ** 2)
     expr = 4 * st.m - 4 * iv.m1 + 2 * iv.m2 + iv.forgotten
-    rhs = _mul(_min_value(c1, c2), expr)
-    return _compare("T8", lhs, rhs, "lower")
+    return _compare("T8", lhs, min(c1, c2, key=float) * expr, "lower")
 
 
-def check_T9_harmonic_bounds(g: Graph) -> BoundCheckResult:
-    violation = _standing_violation(g)
-    if violation:
-        return _not_applicable("T9", violation)
-    st = degree_stats(g)
+@_check("T9")
+def check_T9_harmonic_bounds(g: Graph, st: DegreeStats) -> BoundCheckResult:
     iv = compute_index_vector(g)
     decomposition = classify_components(g)
 
@@ -366,7 +342,7 @@ def check_T9_harmonic_bounds(g: Graph) -> BoundCheckResult:
         )
     )
     if st.is_non_trivial:
-        hl = compute_index_vector(line_graph(g).line_graph).harmonic
+        hl = _line_indices(g).harmonic
         line_bound = _compare("T9.line_bound", hl, Fraction(st.m, 2), "upper")
         parts.append(line_bound)
         flag = decomposition.all_regular_or_biregular
@@ -408,12 +384,9 @@ def check_T10_lemma(inst: LemmaInstance) -> BoundCheckResult:
     return _combine("T10", parts)
 
 
-def check_T10_on_graph(g: Graph) -> BoundCheckResult:
+@_check("T10")
+def check_T10_on_graph(g: Graph, st: DegreeStats) -> BoundCheckResult:
     """Instantiate the lemma at every vertex of degree >= 3 (k = d_u, xs = neighbor degrees)."""
-    violation = _standing_violation(g)
-    if violation:
-        return _not_applicable("T10", violation)
-    st = degree_stats(g)
     hubs = [u for u in range(g.n) if g.degrees[u] >= 3]
     if not hubs:
         return _not_applicable("T10", "no vertex of degree >= 3")
@@ -421,23 +394,12 @@ def check_T10_on_graph(g: Graph) -> BoundCheckResult:
     for u in hubs:
         xs = tuple(sorted(g.degrees[v] for v in g.adjacency[u]))
         inst = LemmaInstance(k=g.degrees[u], max_degree=st.max_degree, xs=xs)
-        sub = check_T10_lemma(inst)
-        parts.append(
-            BoundCheckResult(
-                f"T10.vertex{u}", sub.lhs, sub.rhs, sub.satisfied, sub.equality,
-                sub.slack, branches=sub.branches,
-            )
-        )
+        parts.append(replace(check_T10_lemma(inst), theorem_id=f"T10.vertex{u}"))
     return _combine("T10", parts)
 
 
-def check_T11_harmonic_sandwich(g: Graph) -> BoundCheckResult:
-    violation = _standing_violation(g)
-    if violation:
-        return _not_applicable("T11", violation)
-    st = degree_stats(g)
-    if not st.is_non_trivial:
-        return _not_applicable("T11", "trivial graph (a component has fewer than 2 edges)")
+@_check("T11", needs="non_trivial")
+def check_T11_harmonic_sandwich(g: Graph, st: DegreeStats) -> BoundCheckResult:
     d_max = st.max_degree
     if d_max < 3:
         lo, hi = Fraction(8, 11), Fraction(1)
@@ -446,28 +408,13 @@ def check_T11_harmonic_sandwich(g: Graph) -> BoundCheckResult:
     else:
         lo, hi = Fraction(3, 2 * d_max - 1), Fraction(d_max - 1)
     h = compute_index_vector(g).harmonic
-    h_line = compute_index_vector(line_graph(g).line_graph).harmonic
+    h_line = _line_indices(g).harmonic
     parts = [
         _compare("T11.lower", h_line, lo * h, "lower"),
         _compare("T11.upper", h_line, hi * h, "upper"),
     ]
     return _combine("T11", parts, reason=f"regime max_degree={d_max}")
 
-
-#: Per-graph dispatch table used by the verification harness.
-GRAPH_CHECKS: dict[str, Callable[[Graph], BoundCheckResult]] = {
-    "T1": check_T1_m1_upper,
-    "T2": check_T2_ga_sum,
-    "T3": check_T3_line_identities,
-    "T4": check_T4_ga_platt,
-    "T5": check_T5_ga_hyperbolicity,
-    "T6": check_T6_ga_vs_m1,
-    "T7": check_T7_m1_line_identity,
-    "T8": check_T8_ga_line_lower,
-    "T9": check_T9_harmonic_bounds,
-    "T10": check_T10_on_graph,
-    "T11": check_T11_harmonic_sandwich,
-}
 
 #: One-line statements for CLI listings and reports.
 THEOREM_STATEMENTS: dict[str, str] = {

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from topoline.cli import main
-from topoline.graph_core import cycle_graph, path_graph, star_graph
+from topoline.graph_core import complete_graph, cycle_graph, path_graph, star_graph
 from topoline.io_formats import emit_edge_list, emit_graph6
 
 
@@ -40,6 +40,25 @@ class TestCompute:
         out = tmp_path / "out.json"
         assert main(["compute", "--in", str(src), "--format", "edgelist",
                      "--out", str(out), "--emit", "json"]) == 0
+
+    def test_edgelist_beyond_graph6_order(self, tmp_path):
+        src = tmp_path / "p70.txt"
+        src.write_text(emit_edge_list(path_graph(70)))
+        out = tmp_path / "out.csv"
+        assert main(["compute", "--in", str(src), "--format", "edgelist",
+                     "--out", str(out), "--emit", "csv"]) == 0
+        rows = out.read_text().splitlines()
+        assert len(rows) == 2
+        assert rows[1].startswith("<n=70>,70,69,")
+
+    def test_line_graph_beyond_graph6_order(self, tmp_path):
+        src = tmp_path / "k12.g6"
+        src.write_text(emit_graph6(complete_graph(12)) + "\n")
+        out = tmp_path / "out.json"
+        assert main(["compute", "--in", str(src), "--format", "graph6",
+                     "--line-graph", "--out", str(out), "--emit", "json"]) == 0
+        (record,) = json.loads(out.read_text())["records"]
+        assert (record["graph_key"], record["graph6"], record["n"]) == ("<n=66>", "", 66)
 
     def test_parse_error_exit_code(self, tmp_path):
         src = tmp_path / "bad.g6"

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -93,6 +94,19 @@ class TestRunVerification:
     def test_unknown_theorem_rejected(self):
         with pytest.raises(ValueError, match="unknown theorem"):
             run_verification(EnumerationSpec(3, 3), theorems=("T42",))
+
+    def test_report_bytes_pinned(self):
+        # Every graph with n <= 6 under all eleven checks: a refactor of the
+        # checks, the harness or the emitters must leave these bytes alone.
+        report = run_verification(EnumerationSpec(1, 6))
+        digests = {
+            fmt: hashlib.sha256(emit_report(report, fmt)).hexdigest()
+            for fmt in ("json", "csv")
+        }
+        assert digests == {
+            "json": "e993483d2292c833378a4a90e446db0ccc6d3107feeeab0ed3b261236f9d8684",
+            "csv": "87f07d81d36dedc96f4004345f40eaabdcb129a61c112a37608d84cad31b7e81",
+        }
 
     def test_determinism_across_runs(self):
         spec = EnumerationSpec(2, 4, connected_only=True)

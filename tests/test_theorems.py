@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from conftest import connected_graphs, nontrivial_graphs
 from topoline.graph_core import (
+    Graph,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -287,8 +288,6 @@ class TestDispatchAndApplicability:
                 assert r.satisfied
 
     def test_isolated_vertex_not_applicable(self):
-        from topoline.graph_core import Graph
-
         g = Graph(3, ((0, 1),))
         for fn in GRAPH_CHECKS.values():
             assert not fn(g).applicable
@@ -299,3 +298,45 @@ class TestDispatchAndApplicability:
         for tid, fn in GRAPH_CHECKS.items():
             r = fn(g)
             assert r.satisfied, f"{tid} violated on {g}"
+
+
+STANDING = ("T1", "T6", "T9")
+NON_TRIVIAL = ("T2", "T3", "T4", "T7", "T8", "T11")
+TRIVIAL = "trivial graph (a component has fewer than 2 edges)"
+NO_HUB = "no vertex of degree >= 3"
+
+#: graph -> (the reason of every check that is not applicable, else None)
+REASONS = {
+    "empty": (Graph(0), dict.fromkeys(GRAPH_CHECKS, "empty graph")),
+    "edgeless": (Graph(2), dict.fromkeys(GRAPH_CHECKS, "no edges")),
+    "isolated": (
+        Graph(3, ((0, 1),)),
+        dict.fromkeys(GRAPH_CHECKS, "isolated vertex violates the standing assumption"),
+    ),
+    "P2": (
+        path_graph(2),
+        {**dict.fromkeys(STANDING), **dict.fromkeys(NON_TRIVIAL, TRIVIAL),
+         "T5": TRIVIAL, "T10": NO_HUB},
+    ),
+    "C3+C4": (
+        disjoint_union(cycle_graph(3), cycle_graph(4)),
+        {**dict.fromkeys(STANDING + NON_TRIVIAL), "T5": "disconnected graph", "T10": NO_HUB},
+    ),
+    "P4": (
+        path_graph(4),
+        {**dict.fromkeys(STANDING + NON_TRIVIAL),
+         "T5": "tree: hyperbolicity constant is 0", "T10": NO_HUB},
+    ),
+}
+
+
+@pytest.mark.parametrize("tid", list(GRAPH_CHECKS))
+@pytest.mark.parametrize("name", list(REASONS))
+def test_not_applicable_reason(name, tid):
+    g, expected = REASONS[name]
+    r = GRAPH_CHECKS[tid](g)
+    if expected[tid] is None:
+        assert r.applicable, r.reason
+    else:
+        assert (r.applicable, r.satisfied, r.reason) == (False, True, expected[tid])
+        assert r.theorem_id == tid and r.lhs is r.rhs is r.slack is None
