@@ -194,10 +194,11 @@ def run_verification(
             iv = None
             note = str(exc)
         checks = [GRAPH_CHECKS[tid](g) for tid in ids]
+        graph6 = emit_graph6(g) if g.n <= 62 else ""
         records.append(
             GraphRecord(
-                graph_key=_graph_key(g),
-                graph6=emit_graph6(g) if g.n <= 62 else "",
+                graph_key=canonical_form(g) if g.n <= CANONICAL_CAP else graph6,
+                graph6=graph6,
                 n=st.n,
                 m=st.m,
                 max_degree=st.max_degree,

@@ -18,7 +18,10 @@ computation possible:
   (including non-unique geodesics and degenerate two-corner triangles) are
   still covered exactly;
 * no sampled value exceeds half the lattice diameter, so the search stops as
-  soon as it reaches that bound.
+  soon as it reaches that bound;
+* a disconnected graph is searched as one lattice: points in different
+  components are at hop distance -1, so such a corner pair is never a side
+  and delta is the largest over the components.
 
 The pointwise distance-to-union function is piecewise linear with slopes in
 {-1, 0, 1} along the probed side, so the sampled maximum is within half a
@@ -31,14 +34,13 @@ rounded up (delta is certified from below by an explicit triangle) and the
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .graph_core import Graph, components, is_forest
+from .graph_core import Graph, is_forest
 
 GRANULARITIES = (2, 4, 8)
 DEFAULT_GRANULARITY = 8
@@ -71,10 +73,6 @@ class MetricPoint:
     def at_vertex(v: int) -> "MetricPoint":
         return MetricPoint((v, v), Fraction(0))
 
-    @property
-    def is_vertex(self) -> bool:
-        return self.edge[0] == self.edge[1] or self.offset in (0, 1)
-
     def __str__(self) -> str:
         if self.edge[0] == self.edge[1]:
             return f"v{self.edge[0]}"
@@ -93,8 +91,6 @@ class SubdividedLattice:
     granularity: int
     points: tuple[MetricPoint, ...]
     hops: np.ndarray
-    adjacency: tuple[tuple[int, ...], ...]
-    component_of: tuple[int, ...]
 
     def distance(self, i: int, j: int) -> Fraction | float:
         h = int(self.hops[i, j])
@@ -108,23 +104,11 @@ def subdivided_distances(g: Graph, granularity: int) -> SubdividedLattice:
     if granularity not in GRANULARITIES:
         raise ValueError(f"granularity must be one of {GRANULARITIES}, got {granularity}")
     k = granularity
-    points: list[MetricPoint] = [MetricPoint.at_vertex(v) for v in range(g.n)]
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-
-    def link(a: int, b: int) -> None:
-        adj[a].append(b)
-        adj[b].append(a)
-
-    for u, v in g.edges:
-        prev = u
-        for step in range(1, k):
-            idx = len(points)
-            points.append(MetricPoint((u, v), Fraction(step, k)))
-            adj.append([])
-            link(prev, idx)
-            prev = idx
-        link(prev, v)
-
+    # vertices first, then the inner points of each edge in step order
+    points = tuple(
+        [MetricPoint.at_vertex(v) for v in range(g.n)]
+        + [MetricPoint(e, Fraction(step, k)) for e in g.edges for step in range(1, k)]
+    )
     # Vertex hops by Floyd-Warshall; a lattice path between two points leaves
     # each point's edge through one of its ends unless they share the edge.
     E = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
@@ -144,21 +128,7 @@ def subdivided_distances(g: Graph, granularity: int) -> SubdividedLattice:
             via = offs[:, a, None] + dv[np.ix_(ends[:, a], ends[:, b])] + offs[:, b]
             np.minimum(hops, via, out=hops)
     hops[hops >= unreached] = -1
-    hops = hops.astype(np.int32)
-
-    comp_of_vertex: dict[int, int] = {}
-    for ci, comp in enumerate(components(g)):
-        for v in comp:
-            comp_of_vertex[v] = ci
-    component_of = tuple(comp_of_vertex[p.edge[0]] for p in points)
-    return SubdividedLattice(
-        graph=g,
-        granularity=k,
-        points=tuple(points),
-        hops=hops,
-        adjacency=tuple(tuple(a) for a in adj),
-        component_of=component_of,
-    )
+    return SubdividedLattice(graph=g, granularity=k, points=points, hops=hops.astype(np.int32))
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,7 +169,28 @@ def hyperbolicity_constant(
             f"n={g.n} exceeds the exact-computation cap {cap}; "
             f"fall back to hyperbolicity_upper_bound() = m/4"
         )
-    return _hyperbolicity(g, granularity)
+    lat = subdivided_distances(g, granularity)
+    # an edgeless graph has only trivial triangles (and n = 0 an empty lattice)
+    best, witness, evaluations, corner_points = _lattice_delta(lat) if g.m else (0, None, 0, 0)
+
+    value = Fraction(best, granularity)
+    quarters = value * 4
+    if quarters.denominator == 1:
+        delta = value
+        rounded = False
+    else:
+        delta = Fraction(math.ceil(quarters), 4)
+        rounded = True
+
+    _validate_structural_facts(g, delta, Fraction(int(lat.hops.max(initial=0)), granularity))
+    return HyperbolicityResult(
+        delta=delta,
+        witness=witness,
+        granularity=granularity,
+        corner_points=corner_points,
+        evaluations=evaluations,
+        rounded_up=rounded,
+    )
 
 
 def _geodesic_walk(D: np.ndarray, adj: list[list[int]], frm: int, to: int) -> list[int]:
@@ -217,12 +208,13 @@ def _farthest_tables(D: np.ndarray, adj: list[list[int]], corners: np.ndarray) -
 
     Filled one BFS level from the corner at a time: F[i, b] is D[b] capped by the
     best F[i, r] over the predecessors r of b (neighbours one level closer).
+    Entries with b or p in another component than corners[i] read -1.
     """
     width = max(len(a) for a in adj)
     # pad with the point itself, which is never its own predecessor
     nbr = np.array([list(a) + [q] * (width - len(a)) for q, a in enumerate(adj)])
     level = D[corners]
-    F = np.empty((len(corners), len(D), len(D)), dtype=D.dtype)
+    F = np.full((len(corners), len(D), len(D)), -1, dtype=D.dtype)
     F[np.arange(len(corners)), corners] = level
     for step in range(1, int(level.max()) + 1):
         ci, q = np.nonzero(level == step)
@@ -245,18 +237,11 @@ def _bottleneck_path(
     return path[::-1]
 
 
-def _component_delta(lat: SubdividedLattice, ids: list[int]):
-    """Max sampled triangle value (in hops) over one component's lattice points."""
-    local_index = {gid: i for i, gid in enumerate(ids)}
-    D = lat.hops[np.ix_(ids, ids)]
-    D = D.astype(np.min_scalar_type(-int(D.max()) - 1))
-    adj = [
-        [local_index[r] for r in lat.adjacency[gid] if r in local_index]
-        for gid in ids
-    ]
-    corners = np.array(
-        [i for i, gid in enumerate(ids) if (lat.points[gid].offset * 4).denominator == 1]
-    )
+def _lattice_delta(lat: SubdividedLattice):
+    """Max sampled triangle value (in hops) over every lattice point at once."""
+    D = lat.hops.astype(np.min_scalar_type(-int(lat.hops.max()) - 1))
+    adj = [np.flatnonzero(row == 1).tolist() for row in D]
+    corners = np.array([i for i, p in enumerate(lat.points) if (p.offset * 4).denominator == 1])
     F = _farthest_tables(D, adj, corners)
     G = F[:, corners]  # G[x, e] = farthest value of geodesics x-e; symmetric in x, e
     wide = D[corners].astype(np.int32)  # the union test sums two distances
@@ -268,7 +253,9 @@ def _component_delta(lat: SubdividedLattice, ids: list[int]):
     best_args: tuple | None = None
     pairs = 0
     # Probe side e1-e2 (e1 < e2) against the sides from every apex x at once;
-    # x in {e1, e2} is the degenerate two-corner triangle.
+    # x in {e1, e2} is the degenerate two-corner triangle.  A corner pair in
+    # different components reads -1 // 2 = -1, and an apex in another
+    # component reads -1 throughout, so neither can beat best.
     for e1 in range(len(corners) - 1):
         if best >= ceiling:
             break
@@ -289,16 +276,16 @@ def _component_delta(lat: SubdividedLattice, ids: list[int]):
 
     witness = None
     if best_args is not None:
-        witness = _build_witness(lat, ids, D, adj, F, corners, best_args)
+        witness = _build_witness(lat, D, adj, F, corners, best_args)
     return best, witness, len(corners) * pairs, len(corners)
 
 
-def _build_witness(lat, ids, D, adj, F, corners, args) -> GeodesicTriangle:
+def _build_witness(lat, D, adj, F, corners, args) -> GeodesicTriangle:
     x, e1, e2, p = args
     apex, a, b = (int(corners[c]) for c in (x, e1, e2))
 
     def pts(path: list[int]) -> tuple[MetricPoint, ...]:
-        return tuple(lat.points[ids[i]] for i in path)
+        return tuple(lat.points[i] for i in path)
 
     probe_path = _geodesic_walk(D, adj, a, p) + _geodesic_walk(D, adj, p, b)[1:]
     # an apex equal to a or b makes one far side that single corner
@@ -307,51 +294,7 @@ def _build_witness(lat, ids, D, adj, F, corners, args) -> GeodesicTriangle:
         pts(_bottleneck_path(D, adj, F[x], apex, b, p)),
         pts(_bottleneck_path(D, adj, F[x], apex, a, p)),
     )
-    return GeodesicTriangle(pts([apex, a, b]), sides, lat.points[ids[p]], probe_side=0)
-
-
-@functools.lru_cache(maxsize=None)
-def _hyperbolicity(g: Graph, granularity: int) -> HyperbolicityResult:
-    lat = subdivided_distances(g, granularity)
-    by_comp: dict[int, list[int]] = {}
-    for i, ci in enumerate(lat.component_of):
-        by_comp.setdefault(ci, []).append(i)
-
-    best = 0
-    witness = None
-    evaluations = 0
-    corner_points = 0
-    for ci in sorted(by_comp):
-        ids = by_comp[ci]
-        if len(ids) < 2:
-            continue
-        b, w, ev, q = _component_delta(lat, ids)
-        evaluations += ev
-        corner_points += q
-        if b > best:
-            best = b
-            witness = w
-        elif witness is None and w is not None and b == best:
-            witness = w
-
-    value = Fraction(best, granularity)
-    quarters = value * 4
-    if quarters.denominator == 1:
-        delta = value
-        rounded = False
-    else:
-        delta = Fraction(math.ceil(quarters), 4)
-        rounded = True
-
-    _validate_structural_facts(g, delta, Fraction(int(lat.hops.max(initial=0)), granularity))
-    return HyperbolicityResult(
-        delta=delta,
-        witness=witness,
-        granularity=granularity,
-        corner_points=corner_points,
-        evaluations=evaluations,
-        rounded_up=rounded,
-    )
+    return GeodesicTriangle(pts([apex, a, b]), sides, lat.points[p], probe_side=0)
 
 
 def _validate_structural_facts(g: Graph, delta: Fraction, diameter: Fraction) -> None:

@@ -30,9 +30,12 @@ GRAPH6_HEADER = ">>graph6<<"
 
 
 class Graph6Error(ValueError):
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
+    def __init__(self, message: str, offset: int, line: int | None = None):
+        where = "" if line is None else f"line {line}: "
+        super().__init__(f"{where}{message} (byte offset {offset})")
+        self.reason = message
         self.offset = offset
+        self.line = line
 
 
 class EdgeListError(ValueError):
@@ -107,8 +110,17 @@ def emit_graph6(g: Graph) -> str:
 
 
 def parse_graph6_file(text: str) -> list[Graph]:
-    """One graph6 string per non-empty line."""
-    return [parse_graph6(line.strip()) for line in text.splitlines() if line.strip()]
+    """One graph6 string per non-empty line; errors name the 1-based line."""
+    graphs = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            graphs.append(parse_graph6(line))
+        except Graph6Error as exc:
+            raise Graph6Error(exc.reason, exc.offset, lineno) from None
+    return graphs
 
 
 def parse_edge_list(text: str) -> Graph:

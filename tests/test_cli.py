@@ -68,6 +68,18 @@ class TestCompute:
                      "--out", str(out), "--emit", "json"])
         assert code == 2
 
+    @pytest.mark.parametrize("command", [
+        ["compute", "--format", "graph6", "--emit", "json", "--in"],
+        ["verify", "--theorems", "T3", "--n-min", "1", "--n-max", "10", "--source"],
+    ], ids=["compute", "verify"])
+    def test_graph6_error_names_line_and_byte(self, tmp_path, capsys, command):
+        src = tmp_path / "bad.g6"
+        src.write_text("Bw\nBg\nC!x\n")
+        code = main(command + [str(src), "--out", str(tmp_path / "out.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and "byte offset" in err
+
 
 class TestVerify:
     def test_zero_violations_exit_zero(self, tmp_path, capsys):

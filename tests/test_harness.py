@@ -108,6 +108,24 @@ class TestRunVerification:
             "csv": "87f07d81d36dedc96f4004345f40eaabdcb129a61c112a37608d84cad31b7e81",
         }
 
+    def test_graph6_emitted_at_most_twice_per_large_graph(self, tmp_path, monkeypatch):
+        # beyond the canonical-form cap the record's graph6 doubles as its key
+        import topoline.harness as harness
+
+        graphs = [cycle_graph(12), path_graph(12), star_graph(12)]
+        path = tmp_path / "n12.g6"
+        path.write_text("".join(emit_graph6(g) + "\n" for g in graphs))
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return emit_graph6(g)
+
+        monkeypatch.setattr(harness, "emit_graph6", counting)
+        report = run_verification(EnumerationSpec(12, 12, source=str(path)), ("T3",))
+        assert [r.graph_key for r in report.records] == sorted(r.graph6 for r in report.records)
+        assert len(calls) <= 2 * len(graphs)
+
     def test_determinism_across_runs(self):
         spec = EnumerationSpec(2, 4, connected_only=True)
         a = emit_report(run_verification(spec, ("T1", "T3", "T9")), "json")

@@ -141,6 +141,13 @@ class TestAgainstTriangleEnumerationOracle:
     def test_random_small_graphs(self, g):
         assert hyperbolicity_constant(g).delta == delta_oracle(g, k=4)
 
+    @given(graphs(min_n=2, max_n=5))
+    @settings(max_examples=20)
+    def test_possibly_disconnected_graphs(self, g):
+        # one search spans every component; cross-component pairs never form a side
+        assert hyperbolicity_constant(g).delta == delta_oracle(g, k=4)
+        assert_witness_attains(g)
+
 
 class TestStructuralInvariants:
     @given(connected_graphs(max_n=6))

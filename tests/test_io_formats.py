@@ -26,6 +26,7 @@ from topoline.io_formats import (
     parse_edge_list,
     parse_edge_list_counting,
     parse_graph6,
+    parse_graph6_file,
 )
 
 
@@ -60,6 +61,13 @@ class TestGraph6:
     def test_trailing_garbage_rejected(self):
         with pytest.raises(Graph6Error, match="trailing garbage"):
             parse_graph6("Bwx")
+
+    def test_file_error_names_physical_line(self):
+        with pytest.raises(Graph6Error) as excinfo:
+            parse_graph6_file("Bw\n\nC!x\n")
+        err = excinfo.value
+        assert (err.line, err.offset) == (3, 2)
+        assert str(err) == "line 3: trailing garbage after payload (byte offset 2)"
 
     def test_truncated_rejected(self):
         with pytest.raises(Graph6Error, match="truncated"):
