@@ -29,8 +29,7 @@ from .io_formats import (
     emit_graph6,
     emit_report,
     format_value,
-    parse_edge_list,
-    parse_graph6_file,
+    read_graph_file,
 )
 from .line_graph import TrivialComponentError, line_graph
 from .theorems import THEOREM_IDS, THEOREM_STATEMENTS
@@ -39,16 +38,8 @@ USAGE_ERROR = 2
 VIOLATIONS_FOUND = 1
 
 
-def _read_graphs(path: str, fmt: str):
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    if fmt == "graph6":
-        return parse_graph6_file(text)
-    return [parse_edge_list(text)]
-
-
 def _cmd_compute(args) -> int:
-    graphs = _read_graphs(args.infile, args.format)
+    graphs = read_graph_file(args.infile, args.format)
     if args.line_graph:
         graphs = [line_graph(g).line_graph for g in graphs]
     records = []
@@ -119,7 +110,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_hyperbolicity(args) -> int:
-    graphs = _read_graphs(args.infile, args.format)
+    graphs = read_graph_file(args.infile, args.format)
     for g in graphs:
         label = emit_graph6(g) if g.n <= 62 else f"<n={g.n}>"
         try:
@@ -146,8 +137,9 @@ def _cmd_extremal(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     spec = EnumerationSpec(n_min=args.n, n_max=args.n, connected_only=args.connected)
+    graphs = list(enumerate_graphs(spec))  # a refused enumeration leaves no file
     with open(args.out, "w", encoding="ascii") as fh:
-        for g in enumerate_graphs(spec):
+        for g in graphs:
             fh.write(emit_graph6(g) + "\n")
     return 0
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -87,6 +86,10 @@ class Graph:
             masks[v] |= 1 << u
         return tuple(masks)
 
+    @functools.cached_property
+    def _components(self) -> tuple[ComponentInfo, ...]:
+        return _decompose(self)
+
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and v in self.adjacency[u]
 
@@ -155,43 +158,6 @@ class DegreeStats:
     degenerate: bool = False  # True only for the empty graph (n == 0)
 
 
-def components(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Connected components as sorted vertex tuples, ordered by smallest vertex."""
-    seen = [False] * g.n
-    out: list[tuple[int, ...]] = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = deque([start])
-        comp = [start]
-        while queue:
-            u = queue.popleft()
-            for w in g.adjacency[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        out.append(tuple(sorted(comp)))
-    return tuple(out)
-
-
-def _component_edge_count(g: Graph, comp: tuple[int, ...]) -> int:
-    cset = set(comp)
-    return sum(1 for u, _ in g.edges if u in cset)
-
-
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(components(g)) == 1
-
-
-def degree_stats(g: Graph) -> DegreeStats:
-    if g.n == 0:
-        return DegreeStats(0, 0, 0, 0, True, degenerate=True)
-    non_trivial = all(_component_edge_count(g, c) >= 2 for c in components(g))
-    return DegreeStats(g.n, g.m, max(g.degrees), min(g.degrees), non_trivial)
-
-
 @dataclass(frozen=True)
 class ComponentInfo:
     """One connected component with its classification flags.
@@ -225,36 +191,63 @@ class ComponentDecomposition:
         return all(c.regular or c.biregular for c in self.components)
 
 
-def classify_components(g: Graph) -> ComponentDecomposition:
+def _decompose(g: Graph) -> tuple[ComponentInfo, ...]:
+    """The one component walk; ``Graph._components`` caches its result."""
+    adj, degs = g.adjacency, g.degrees
+    seen = [False] * g.n
     infos = []
-    for comp in components(g):
-        cset = set(comp)
-        mc = _component_edge_count(g, comp)
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        for u in comp:  # breadth-first: comp grows while it is scanned
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+        comp.sort()
         nc = len(comp)
-        degset = {g.degrees[v] for v in comp}
-        regular = len(degset) == 1
-        biregular = False
-        degree_pair = None
-        if len(degset) == 2:
-            a, b = sorted(degset, reverse=True)
-            if all(
-                {g.degrees[u], g.degrees[v]} == {a, b}
-                for u, v in g.edges
-                if u in cset
-            ):
-                biregular = True
-                degree_pair = (a, b)
+        mc = sum(degs[v] for v in comp) // 2
+        degset = {degs[v] for v in comp}
+        # With exactly two degrees, every edge joins them iff no edge joins equal ones.
+        biregular = len(degset) == 2 and all(degs[w] != degs[u] for u in comp for w in adj[u])
         tree = mc == nc - 1
-        path = tree and max(g.degrees[v] for v in comp) <= 2
-        cycle = nc >= 3 and degset == {2} and mc == nc
-        infos.append(
-            ComponentInfo(comp, mc, regular, biregular, degree_pair, path, cycle, tree)
-        )
-    return ComponentDecomposition(tuple(infos))
+        infos.append(ComponentInfo(
+            vertices=tuple(comp),
+            edge_count=mc,
+            regular=len(degset) == 1,
+            biregular=biregular,
+            degree_pair=tuple(sorted(degset, reverse=True)) if biregular else None,
+            path=tree and max(degset) <= 2,
+            cycle=nc >= 3 and degset == {2} and mc == nc,
+            tree=tree,
+        ))
+    return tuple(infos)
+
+
+def components(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Connected components as sorted vertex tuples, ordered by smallest vertex."""
+    return tuple(c.vertices for c in g._components)
+
+
+def is_connected(g: Graph) -> bool:
+    return len(g._components) <= 1
 
 
 def is_forest(g: Graph) -> bool:
-    return g.m == g.n - len(components(g))
+    return all(c.tree for c in g._components)
+
+
+def degree_stats(g: Graph) -> DegreeStats:
+    if g.n == 0:
+        return DegreeStats(0, 0, 0, 0, True, degenerate=True)
+    non_trivial = all(c.edge_count >= 2 for c in g._components)
+    return DegreeStats(g.n, g.m, max(g.degrees), min(g.degrees), non_trivial)
+
+
+def classify_components(g: Graph) -> ComponentDecomposition:
+    return ComponentDecomposition(g._components)
 
 
 # ---------------------------------------------------------------------------

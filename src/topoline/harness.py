@@ -13,7 +13,7 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from .graph_core import (
     CANONICAL_CAP,
@@ -29,7 +29,7 @@ from .io_formats import (
     ReportMeta,
     RunReport,
     emit_graph6,
-    parse_graph6_file,
+    read_graph_file,
 )
 from .theorems import GRAPH_CHECKS, THEOREM_IDS, _tolerance
 
@@ -66,25 +66,30 @@ class ExtremalQuery:
     n: int
 
 
+def _first_per_key(graphs: Iterable[Graph], key: Callable[[Graph], str]) -> tuple[Graph, ...]:
+    """The first graph seen for each key, in key order."""
+    firsts: dict[str, Graph] = {}
+    for g in graphs:
+        firsts.setdefault(key(g), g)
+    return tuple(firsts[k] for k in sorted(firsts))
+
+
 @functools.lru_cache(maxsize=None)
 def _all_graphs(n: int) -> tuple[Graph, ...]:
     """All graphs on n vertices up to isomorphism, sorted by canonical key."""
-    if n == 0:
-        return (Graph(0),)
-    if n == 1:
-        return (Graph(1),)
-    seen: dict[str, Graph] = {}
+    if n <= 1:
+        return (Graph(n),)  # GraphError for a negative n
     new_vertex = n - 1
-    for parent in _all_graphs(n - 1):
-        for neighborhood in range(1 << new_vertex):
-            extra = tuple(
+    return _first_per_key(
+        (
+            Graph(n, parent.edges + tuple(
                 (i, new_vertex) for i in range(new_vertex) if neighborhood >> i & 1
-            )
-            candidate = Graph(n, parent.edges + extra)
-            key = canonical_form(candidate)
-            if key not in seen:
-                seen[key] = candidate
-    return tuple(seen[k] for k in sorted(seen))
+            ))
+            for parent in _all_graphs(n - 1)
+            for neighborhood in range(1 << new_vertex)
+        ),
+        canonical_form,
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -94,14 +99,14 @@ def enumerate_trees(n: int) -> tuple[Graph, ...]:
         raise ValueError("trees need n >= 1")
     if n == 1:
         return (Graph(1),)
-    seen: dict[str, Graph] = {}
-    for parent in enumerate_trees(n - 1):
-        for attach in range(n - 1):
-            candidate = Graph(n, parent.edges + ((attach, n - 1),))
-            key = canonical_form(candidate)
-            if key not in seen:
-                seen[key] = candidate
-    return tuple(seen[k] for k in sorted(seen))
+    return _first_per_key(
+        (
+            Graph(n, parent.edges + ((attach, n - 1),))
+            for parent in enumerate_trees(n - 1)
+            for attach in range(n - 1)
+        ),
+        canonical_form,
+    )
 
 
 def _graph_key(g: Graph) -> str:
@@ -113,14 +118,10 @@ def enumerate_graphs(spec: EnumerationSpec) -> Iterator[Graph]:
     if spec.n_min > spec.n_max:
         return
     if spec.source is not None:
-        with open(spec.source, "r", encoding="ascii") as fh:
-            graphs = parse_graph6_file(fh.read())
-        keyed: dict[str, Graph] = {}
-        for g in graphs:
-            if not spec.n_min <= g.n <= spec.n_max:
-                continue
-            keyed.setdefault(_graph_key(g), g)
-        pool = [keyed[k] for k in sorted(keyed)]
+        pool = _first_per_key(
+            (g for g in read_graph_file(spec.source, "graph6") if spec.n_min <= g.n <= spec.n_max),
+            _graph_key,
+        )
     else:
         if spec.n_max > ENUMERATION_CAP:
             raise EnumerationCapError(

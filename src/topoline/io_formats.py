@@ -112,7 +112,7 @@ def emit_graph6(g: Graph) -> str:
 def parse_graph6_file(text: str) -> list[Graph]:
     """One graph6 string per non-empty line; errors name the 1-based line."""
     graphs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -141,7 +141,7 @@ def parse_edge_list_counting(text: str) -> tuple[Graph, int]:
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     duplicates = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -175,6 +175,28 @@ def parse_edge_list_counting(text: str) -> tuple[Graph, int]:
     if n is None:
         raise EdgeListError("missing vertex count line", 1)
     return build_graph(n, edges), duplicates
+
+
+def read_graph_file(path: str, fmt: str) -> list[Graph]:
+    """The graphs of a graph6 file (one per line) or of an edge-list file (one).
+
+    Lines are physical lines: text mode folds "\r\n" and "\r" into "\n", and
+    only "\n" separates lines.  A non-ASCII byte is reported like any other
+    parse error, by its line (and for graph6 its byte offset within the line).
+    """
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        text = fh.read()
+    if not text.isascii():
+        pos = next(i for i, ch in enumerate(text) if not ch.isascii())
+        line = text.count("\n", 0, pos) + 1
+        # surrogateescape maps byte b >= 0x80 to the code point 0xDC00 + b
+        reason = f"non-ASCII byte 0x{ord(text[pos]) - 0xDC00:02x}"
+        if fmt == "graph6":
+            raise Graph6Error(reason, pos - text.rfind("\n", 0, pos) - 1, line)
+        raise EdgeListError(reason, line)
+    if fmt == "graph6":
+        return parse_graph6_file(text)
+    return [parse_edge_list(text)]
 
 
 def emit_edge_list(g: Graph) -> str:

@@ -15,14 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
 
-from .graph_core import (
-    DegreeStats,
-    Graph,
-    GraphError,
-    _component_edge_count,
-    components,
-    degree_stats,
-)
+from .graph_core import DegreeStats, Graph, GraphError, classify_components, degree_stats
 
 
 class TrivialComponentError(GraphError):
@@ -36,19 +29,15 @@ class LineGraphResult:
     stats: DegreeStats
 
 
-def _require_non_trivial(g: Graph) -> None:
-    for comp in components(g):
-        mc = _component_edge_count(g, comp)
-        if mc < 2:
-            raise TrivialComponentError(
-                f"non-trivial graph required: component {comp} has {mc} edge(s)"
-            )
-
-
 @functools.lru_cache(maxsize=None)
 def line_graph(g: Graph) -> LineGraphResult:
     """Construct L(g): one vertex per edge, adjacent iff the edges share an endpoint."""
-    _require_non_trivial(g)
+    for comp in classify_components(g).components:
+        if comp.edge_count < 2:
+            raise TrivialComponentError(
+                f"non-trivial graph required: component {comp.vertices} "
+                f"has {comp.edge_count} edge(s)"
+            )
     edge_index = {e: i for i, e in enumerate(g.edges)}
     incident: list[list[int]] = [[] for _ in range(g.n)]
     for e, i in edge_index.items():

@@ -80,6 +80,26 @@ class TestCompute:
         err = capsys.readouterr().err
         assert "line 3" in err and "byte offset" in err
 
+    @pytest.mark.parametrize("command", [
+        ["compute", "--format", "graph6", "--emit", "json", "--in"],
+        ["verify", "--theorems", "T3", "--n-min", "1", "--n-max", "10", "--source"],
+    ], ids=["compute", "verify"])
+    def test_non_ascii_byte_names_line(self, tmp_path, capsys, command):
+        src = tmp_path / "bad.g6"
+        src.write_bytes(b"Bw\n\xff\n")
+        code = main(command + [str(src), "--out", str(tmp_path / "out.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "line 2: non-ASCII byte 0xff (byte offset 0)" in err
+
+    def test_non_ascii_edge_list_names_line(self, tmp_path, capsys):
+        src = tmp_path / "bad.txt"
+        src.write_bytes(b"3\r\n0 1\r\n1 \xe9\n")
+        code = main(["compute", "--format", "edgelist", "--emit", "json", "--in", str(src),
+                     "--out", str(tmp_path / "out.json")])
+        assert code == 2
+        assert "line 3: non-ASCII byte 0xe9" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_zero_violations_exit_zero(self, tmp_path, capsys):
@@ -176,6 +196,23 @@ class TestExtremalAndEnumerate:
         assert main(["enumerate", "--n", "4", "--connected", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 6
+
+    def test_refused_enumerate_leaves_no_file(self, tmp_path, capsys):
+        out = tmp_path / "e.g6"
+        assert main(["enumerate", "--n", "9", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "caps at n=8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["verify", "--theorems", "all", "--n-min", "-1", "--n-max", "2", "--out", "{out}"],
+        ["enumerate", "--n", "-2", "--out", "{out}"],
+        ["extremal", "--index", "m1", "--objective", "max", "--class", "all", "--n", "-1"],
+    ], ids=["verify", "enumerate", "extremal"])
+    def test_negative_order_is_usage_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main([arg.format(out=out) for arg in command]) == 2
+        assert "vertex count must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_theorem_catalog(self, capsys):
         assert main(["theorems"]) == 0

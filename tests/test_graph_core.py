@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given
@@ -20,6 +21,8 @@ from topoline.graph_core import (
     cycle_graph,
     degree_stats,
     disjoint_union,
+    is_connected,
+    is_forest,
     is_isomorphic,
     path_graph,
     permute,
@@ -114,6 +117,28 @@ class TestClassifyComponents:
     def test_regular_and_biregular_disjoint(self, g):
         for info in classify_components(g).components:
             assert not (info.regular and info.biregular)
+
+    @given(graphs(min_n=1, max_n=9))
+    def test_decomposition_matches_networkx(self, g):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        expected = sorted(tuple(sorted(c)) for c in nx.connected_components(h))
+        assert components(g) == tuple(expected)
+        assert is_connected(g) == nx.is_connected(h)
+        assert is_forest(g) == nx.is_forest(h)
+        infos = classify_components(g).components
+        edge_counts = [h.subgraph(c).number_of_edges() for c in expected]
+        assert [info.edge_count for info in infos] == edge_counts
+        assert degree_stats(g).is_non_trivial == all(mc >= 2 for mc in edge_counts)
+        for info in infos:
+            sub = h.subgraph(info.vertices)
+            degrees = {d for _, d in sub.degree()}
+            assert info.regular == (len(degrees) == 1)
+            joins = {frozenset((sub.degree(u), sub.degree(v))) for u, v in sub.edges()}
+            biregular = len(degrees) == 2 and joins == {frozenset(degrees)}
+            assert info.biregular == biregular
+            assert info.degree_pair == (tuple(sorted(degrees, reverse=True)) if biregular else None)
 
 
 class TestCanonicalForm:

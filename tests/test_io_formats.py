@@ -4,6 +4,7 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import graphs
 from topoline.graph_core import (
@@ -28,6 +29,41 @@ from topoline.io_formats import (
     parse_graph6,
     parse_graph6_file,
 )
+
+
+@st.composite
+def graph6_like(draw):
+    """A size byte for n <= 12, then about the needed number of payload
+    characters near the graph6 range (63..126), so that many strings decode."""
+    n = draw(st.integers(0, 12))
+    need = (n * (n - 1) // 2 + 5) // 6
+    size = draw(st.sampled_from([need, need, need, max(need - 1, 0), need + 1]))
+    alphabet = st.characters(min_codepoint=60, max_codepoint=128)
+    return chr(63 + n) + draw(st.text(alphabet, min_size=size, max_size=size))
+
+
+def _small_if_integer(token: str) -> bool:
+    try:
+        return abs(int(token)) <= 300  # no fuzzed vertex count allocates a huge graph
+    except ValueError:
+        return True
+
+
+EDGE_LIST_TOKENS = st.one_of(
+    st.integers(-1, 9).map(str),
+    st.integers(-2, 300).map(str),
+    st.sampled_from(["#", "# c", "0x1", "1.5", "-0"]),
+    st.text(max_size=4).filter(_small_if_integer),
+)
+EDGE_LIST_LIKE = st.tuples(
+    st.one_of(st.just(""), st.integers(0, 12).map("{}\n".format)),
+    st.lists(
+        st.lists(EDGE_LIST_TOKENS, max_size=4).flatmap(
+            lambda tokens: st.sampled_from([" ", "\t", "  "]).map(lambda sep: sep.join(tokens))
+        ),
+        max_size=8,
+    ).map("\n".join),
+).map("".join)
 
 
 def nx_graph6(g: Graph) -> str:
@@ -81,6 +117,31 @@ class TestGraph6:
         with pytest.raises(ValueError, match="n <= 62"):
             emit_graph6(Graph(63))
 
+    def test_file_lines_are_physical_lines(self):
+        # \x0c and \x0b break lines for str.splitlines, not in a file
+        with pytest.raises(Graph6Error) as excinfo:
+            parse_graph6_file("Bw\x0cC!x\n")
+        assert excinfo.value.line == 1
+        with pytest.raises(Graph6Error, match="line 1: trailing garbage"):
+            parse_graph6_file("Bw\x0cBg")
+
+    @given(st.one_of(st.text(max_size=40), graph6_like()))
+    def test_fuzz_parse_graph6(self, text):
+        try:
+            assert isinstance(parse_graph6(text), Graph)
+        except Graph6Error:
+            pass
+
+    @given(st.one_of(
+        st.text(max_size=80),
+        st.lists(st.one_of(graph6_like(), st.text(max_size=3)), max_size=6).map("\n".join),
+    ))
+    def test_fuzz_parse_graph6_file(self, text):
+        try:
+            assert all(isinstance(g, Graph) for g in parse_graph6_file(text))
+        except Graph6Error:
+            pass
+
     @given(graphs(min_n=0, max_n=10))
     def test_round_trip_identity(self, g):
         assert parse_graph6(emit_graph6(g)) == g
@@ -130,6 +191,17 @@ class TestEdgeList:
     def test_comments_and_blanks_ignored(self):
         text = "# header\n\n3\n0 1  # first edge\n1 2\n"
         assert parse_edge_list(text) == path_graph(3)
+
+    def test_vertical_tab_does_not_break_a_line(self):
+        with pytest.raises(EdgeListError, match="line 1: expected a single vertex count"):
+            parse_edge_list("3\x0b0 1\n1 2\n")
+
+    @given(EDGE_LIST_LIKE)
+    def test_fuzz_parse_edge_list(self, text):
+        try:
+            assert isinstance(parse_edge_list(text), Graph)
+        except EdgeListError:
+            pass
 
     @given(graphs(min_n=1, max_n=8))
     def test_round_trip_preserves_canonical_form(self, g):

@@ -27,8 +27,9 @@ class TestLineGraph:
 
     def test_trivial_component_rejected(self):
         g = disjoint_union(cycle_graph(3), path_graph(2))
-        with pytest.raises(TrivialComponentError, match=r"component \(3, 4\)"):
+        with pytest.raises(TrivialComponentError) as excinfo:
             line_graph(g)
+        assert str(excinfo.value) == "non-trivial graph required: component (3, 4) has 1 edge(s)"
 
     def test_vertex_map_ranks_sorted_edges(self):
         g = star_graph(4)
