@@ -9,13 +9,14 @@ import argparse
 import sys
 from datetime import datetime, timezone
 
-from .graph_core import degree_stats
 from .harness import (
     ENUMERATION_CAP,
     EnumerationSpec,
     ExtremalQuery,
     enumerate_graphs,
     extremal_search,
+    graph_label,
+    graph_record,
     run_verification,
 )
 from .hyperbolicity import HyperbolicityCapError, hyperbolicity_constant, hyperbolicity_upper_bound
@@ -23,10 +24,10 @@ from .indices import IsolatedVertexError, compute_index_vector
 from .io_formats import (
     EdgeListError,
     Graph6Error,
-    GraphRecord,
     ReportMeta,
     RunReport,
     emit_graph6,
+    emit_index_csv,
     emit_report,
     format_value,
     read_graph_file,
@@ -42,39 +43,11 @@ def _cmd_compute(args) -> int:
     graphs = read_graph_file(args.infile, args.format)
     if args.line_graph:
         graphs = [line_graph(g).line_graph for g in graphs]
-    records = []
-    for g in graphs:
-        st = degree_stats(g)
-        iv = compute_index_vector(g)
-        g6 = emit_graph6(g) if g.n <= 62 else ""
-        records.append(
-            GraphRecord(
-                graph_key=g6 or f"<n={g.n}>",
-                graph6=g6,
-                n=st.n,
-                m=st.m,
-                max_degree=st.max_degree,
-                min_degree=st.min_degree,
-                indices=iv,
-                checks=(),
-            )
-        )
-    report = RunReport(meta=ReportMeta(), records=tuple(records))
-    if args.emit == "csv":
-        lines = ["graph_key,n,m,max_deg,min_deg,m1,m2,forgotten,harmonic,ga1,platt"]
-        for rec in records:
-            iv = rec.indices
-            lines.append(
-                ",".join(
-                    [rec.graph_key, str(rec.n), str(rec.m), str(rec.max_degree),
-                     str(rec.min_degree), format_value(iv.m1), format_value(iv.m2),
-                     format_value(iv.forgotten), format_value(iv.harmonic),
-                     format_value(iv.ga1), format_value(iv.platt)]
-                )
-            )
-        payload = ("\n".join(lines) + "\n").encode("ascii")
-    else:
-        payload = emit_report(report, "json")
+    report = RunReport(
+        meta=ReportMeta(),
+        records=tuple(graph_record(g, compute_index_vector(g)) for g in graphs),
+    )
+    payload = emit_index_csv(report) if args.emit == "csv" else emit_report(report, "json")
     with open(args.out, "wb") as fh:
         fh.write(payload)
     return 0
@@ -112,7 +85,7 @@ def _cmd_verify(args) -> int:
 def _cmd_hyperbolicity(args) -> int:
     graphs = read_graph_file(args.infile, args.format)
     for g in graphs:
-        label = emit_graph6(g) if g.n <= 62 else f"<n={g.n}>"
+        label = graph_label(g)
         try:
             result = hyperbolicity_constant(g, cap=args.cap)
         except HyperbolicityCapError:

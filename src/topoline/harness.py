@@ -23,7 +23,7 @@ from .graph_core import (
     is_connected,
 )
 from .hyperbolicity import hyperbolicity_constant
-from .indices import IsolatedVertexError, compute_index_vector
+from .indices import IndexVector, IsolatedVertexError, compute_index_vector
 from .io_formats import (
     GraphRecord,
     ReportMeta,
@@ -31,7 +31,7 @@ from .io_formats import (
     emit_graph6,
     read_graph_file,
 )
-from .theorems import GRAPH_CHECKS, THEOREM_IDS, _tolerance
+from .theorems import GRAPH_CHECKS, THEOREM_IDS, BoundCheckResult, _tolerance
 
 ENUMERATION_CAP = 8
 
@@ -66,9 +66,9 @@ class ExtremalQuery:
     n: int
 
 
-def _first_per_key(graphs: Iterable[Graph], key: Callable[[Graph], str]) -> tuple[Graph, ...]:
+def _first_per_key(graphs: Iterable[Graph], key: Callable[[Graph], str | tuple]) -> tuple[Graph, ...]:
     """The first graph seen for each key, in key order."""
-    firsts: dict[str, Graph] = {}
+    firsts: dict[str | tuple, Graph] = {}
     for g in graphs:
         firsts.setdefault(key(g), g)
     return tuple(firsts[k] for k in sorted(firsts))
@@ -113,14 +113,32 @@ def _graph_key(g: Graph) -> str:
     return canonical_form(g) if g.n <= CANONICAL_CAP else emit_graph6(g)
 
 
+def graph_label(g: Graph) -> str:
+    """How reports name ``g``: its graph6 string, or "<n=N>" past graph6's 62 vertices."""
+    return emit_graph6(g) if g.n <= 62 else f"<n={g.n}>"
+
+
+def graph_record(g: Graph, indices: IndexVector | None, checks: Iterable[BoundCheckResult] = (),
+                 note: str = "", key: str | None = None) -> GraphRecord:
+    """The report record of ``g``; ``key`` defaults to its label, and a "<n=N>"
+    label (no graph6 byte is "<") leaves the ``graph6`` field empty."""
+    label = graph_label(g)
+    st = degree_stats(g)
+    return GraphRecord(
+        graph_key=key or label, graph6="" if label.startswith("<") else label,
+        n=st.n, m=st.m, max_degree=st.max_degree, min_degree=st.min_degree,
+        indices=indices, checks=tuple(checks), note=note,
+    )
+
+
 def enumerate_graphs(spec: EnumerationSpec) -> Iterator[Graph]:
-    """One representative per isomorphism class, deterministic canonical order."""
+    """One representative per isomorphism class, in (n, key) order (see `_graph_key`)."""
     if spec.n_min > spec.n_max:
         return
     if spec.source is not None:
         pool = _first_per_key(
             (g for g in read_graph_file(spec.source, "graph6") if spec.n_min <= g.n <= spec.n_max),
-            _graph_key,
+            lambda g: (g.n, _graph_key(g)),
         )
     else:
         if spec.n_max > ENUMERATION_CAP:
@@ -187,29 +205,16 @@ def run_verification(
     ids = _normalize_theorems(theorems)
     records = []
     for g in enumerate_graphs(spec):
-        st = degree_stats(g)
         try:
             iv = compute_index_vector(g)
             note = ""
         except IsolatedVertexError as exc:
             iv = None
             note = str(exc)
-        checks = [GRAPH_CHECKS[tid](g) for tid in ids]
-        graph6 = emit_graph6(g) if g.n <= 62 else ""
-        records.append(
-            GraphRecord(
-                graph_key=canonical_form(g) if g.n <= CANONICAL_CAP else graph6,
-                graph6=graph6,
-                n=st.n,
-                m=st.m,
-                max_degree=st.max_degree,
-                min_degree=st.min_degree,
-                indices=iv,
-                checks=tuple(checks),
-                note=note,
-            )
-        )
-    records.sort(key=lambda r: (r.n, r.graph_key))
+        records.append(graph_record(
+            g, iv, (GRAPH_CHECKS[tid](g) for tid in ids), note,
+            key=canonical_form(g) if g.n <= CANONICAL_CAP else None,
+        ))
     meta = ReportMeta(
         timestamp=timestamp, seed=seed, spec=spec.as_dict(), theorems=ids
     )

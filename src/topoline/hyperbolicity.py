@@ -193,13 +193,18 @@ def hyperbolicity_constant(
     )
 
 
-def _geodesic_walk(D: np.ndarray, adj: list[list[int]], frm: int, to: int) -> list[int]:
-    # Deterministic geodesic: always step to the smallest-index point closer to `to`.
+def _geodesic_walk(
+    D: np.ndarray, adj: list[list[int]], frm: int, to: int, key=lambda r: -r
+) -> list[int]:
+    """A geodesic frm-to down the BFS-predecessor DAG of ``to``.
+
+    Each step takes the neighbour one hop closer to ``to`` that maximizes
+    ``key``; the default takes the smallest index.
+    """
     path = [frm]
-    cur = frm
-    while cur != to:
-        cur = min(r for r in adj[cur] if D[to, r] == D[to, cur] - 1)
-        path.append(cur)
+    while path[-1] != to:
+        cur = path[-1]
+        path.append(max((r for r in adj[cur] if D[to, r] == D[to, cur] - 1), key=key))
     return path
 
 
@@ -223,18 +228,6 @@ def _farthest_tables(D: np.ndarray, adj: list[list[int]], corners: np.ndarray) -
         prev[level[ci[:, None], cand] != step - 1] = -1
         F[ci, q] = np.minimum(D[q], prev.max(axis=1))
     return F
-
-
-def _bottleneck_path(
-    D: np.ndarray, adj: list[list[int]], far: np.ndarray, a: int, b: int, p: int
-) -> list[int]:
-    """A geodesic a-b attaining far[b, p], walked back from b over corner a's table."""
-    path = [b]
-    while path[-1] != a:
-        cur = path[-1]
-        preds = (r for r in adj[cur] if D[a, r] == D[a, cur] - 1)
-        path.append(max(preds, key=lambda r: (far[r, p], -r)))
-    return path[::-1]
 
 
 def _lattice_delta(lat: SubdividedLattice):
@@ -287,13 +280,14 @@ def _build_witness(lat, D, adj, F, corners, args) -> GeodesicTriangle:
     def pts(path: list[int]) -> tuple[MetricPoint, ...]:
         return tuple(lat.points[i] for i in path)
 
+    def far_side(end: int) -> tuple[MetricPoint, ...]:
+        # a geodesic apex-end attaining F[x, end, p]: walk back from end over
+        # the apex's table, ties to the smallest index
+        return pts(_geodesic_walk(D, adj, end, apex, key=lambda r: (F[x, r, p], -r))[::-1])
+
     probe_path = _geodesic_walk(D, adj, a, p) + _geodesic_walk(D, adj, p, b)[1:]
     # an apex equal to a or b makes one far side that single corner
-    sides = (
-        pts(probe_path),  # joins a-b, opposite the apex
-        pts(_bottleneck_path(D, adj, F[x], apex, b, p)),
-        pts(_bottleneck_path(D, adj, F[x], apex, a, p)),
-    )
+    sides = (pts(probe_path), far_side(b), far_side(a))  # sides[0] joins a-b, opposite the apex
     return GeodesicTriangle(pts([apex, a, b]), sides, lat.points[p], probe_side=0)
 
 

@@ -27,6 +27,8 @@ from .theorems import BoundCheckResult
 logger = logging.getLogger(__name__)
 
 GRAPH6_HEADER = ">>graph6<<"
+#: largest vertex count an edge list may declare; the degree tuple alone is then 8 MB
+MAX_EDGE_LIST_VERTICES = 10**6
 
 
 class Graph6Error(ValueError):
@@ -126,7 +128,8 @@ def parse_graph6_file(text: str) -> list[Graph]:
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list text format.
 
-    First significant line holds the vertex count, each following line one
+    First significant line holds the vertex count (at most
+    ``MAX_EDGE_LIST_VERTICES``), each following line one
     edge "u v" (0-indexed); blank lines and '#' comments are ignored.
     Duplicate edges collapse with a logged warning.
     """
@@ -155,6 +158,10 @@ def parse_edge_list_counting(text: str) -> tuple[Graph, int]:
                 raise EdgeListError(f"vertex count is not an integer: {tokens[0]!r}", lineno)
             if n < 0:
                 raise EdgeListError(f"vertex count must be non-negative: {n}", lineno)
+            if n > MAX_EDGE_LIST_VERTICES:
+                raise EdgeListError(
+                    f"vertex count {n} exceeds the cap {MAX_EDGE_LIST_VERTICES}", lineno
+                )
             continue
         if len(tokens) != 2:
             raise EdgeListError(f"expected 'u v', got {line!r}", lineno)
@@ -347,3 +354,17 @@ def emit_report(report: RunReport, fmt: str) -> bytes:
                 )
         return buf.getvalue().encode("ascii")
     raise ValueError(f"unknown report format {fmt!r} (expected 'json' or 'csv')")
+
+
+def emit_index_csv(report: RunReport) -> bytes:
+    """The index table of ``compute --emit csv``: one row per graph, no checks."""
+    columns = ("m1", "m2", "forgotten", "harmonic", "ga1", "platt")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["graph_key", "n", "m", "max_deg", "min_deg", *columns])
+    for rec in report.records:
+        writer.writerow(
+            [rec.graph_key, rec.n, rec.m, rec.max_degree, rec.min_degree,
+             *(format_value(getattr(rec.indices, name)) for name in columns)]
+        )
+    return buf.getvalue().encode("ascii")

@@ -26,7 +26,10 @@ class TrivialComponentError(GraphError):
 class LineGraphResult:
     line_graph: Graph
     vertex_map: Mapping[tuple[int, int], int]  # source edge -> line-graph vertex
-    stats: DegreeStats
+
+    @functools.cached_property
+    def stats(self) -> DegreeStats:
+        return degree_stats(self.line_graph)
 
 
 @functools.lru_cache(maxsize=None)
@@ -54,7 +57,7 @@ def line_graph(g: Graph) -> LineGraphResult:
         if lg.degrees[i] != degs[u] + degs[v] - 2:
             raise AssertionError(f"line-graph degree identity violated at edge {(u, v)}")
 
-    return LineGraphResult(lg, types.MappingProxyType(edge_index), degree_stats(lg))
+    return LineGraphResult(lg, types.MappingProxyType(edge_index))
 
 
 def line_edge_count(g: Graph) -> int:

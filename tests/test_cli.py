@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from topoline.cli import main
-from topoline.graph_core import complete_graph, cycle_graph, path_graph, star_graph
+from topoline.graph_core import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from topoline.io_formats import emit_edge_list, emit_graph6
 
 
@@ -100,6 +101,53 @@ class TestCompute:
         assert code == 2
         assert "line 3: non-ASCII byte 0xe9" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["compute", "--emit", "json", "--out", "{out}"],
+        ["hyperbolicity"],
+    ], ids=["compute", "hyperbolicity"])
+    def test_huge_edge_list_vertex_count(self, tmp_path, capsys, command):
+        src = tmp_path / "huge.txt"
+        src.write_text("100000000000\n0 1\n")
+        out = tmp_path / "out.json"
+        argv = [arg.format(out=out) for arg in command]
+        assert main(argv + ["--in", str(src), "--format", "edgelist"]) == 2
+        assert "line 1: vertex count 100000000000 exceeds" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestComputePinned:
+    # A fixed graph6 file: C4, S4, K3,4, C3 + P4, P12 and K12, whose line graph
+    # has 66 vertices and so takes the "<n=66>" key.  These bytes must survive
+    # any change to how compute builds or writes its records.
+    SOURCE = "Cl\nCs\nFFzf?\nFwCGG\nKhCGGC@?G?_@\nK~~~~~~~~~~~\n"
+
+    @staticmethod
+    def _digest(tmp_path, src, fmt, emit, *extra):
+        out = tmp_path / f"out.{emit}"
+        assert main(["compute", "--in", str(src), "--format", fmt, *extra,
+                     "--out", str(out), "--emit", emit]) == 0
+        return hashlib.sha256(out.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("emit,extra,digest", [
+        ("json", (), "317658d279427bcd233891555a8955342302120cc04c9f138a54f9ee3dfe44c4"),
+        ("csv", (), "02a134a1f22eae121a8e7f2fc969b266276f149a57a8bd2107ed2e2fa29c0724"),
+        ("json", ("--line-graph",), "90410704cbcb521de4ca5f3882c0359c395c3a2be4ef0790bfd33c264072b4cd"),
+        ("csv", ("--line-graph",), "8400a513a97cc574c87f94736647fc94c2f5322290553d48918c6083c3a625a3"),
+    ], ids=["json", "csv", "line-json", "line-csv"])
+    def test_graph6_file(self, tmp_path, emit, extra, digest):
+        src = tmp_path / "pinned.g6"
+        src.write_text(self.SOURCE)
+        assert self._digest(tmp_path, src, "graph6", emit, *extra) == digest
+
+    @pytest.mark.parametrize("emit,digest", [
+        ("json", "13ea03c6f12c49cdbf836eb94b199778af6989554f98651c94158e96d07e9c64"),
+        ("csv", "8f0c6c11abf47c5039ddf7531c4dc927f04c5a92c484b6d22f2bdf2e5f2bd174"),
+    ])
+    def test_p70_edge_list(self, tmp_path, emit, digest):
+        src = tmp_path / "p70.txt"
+        src.write_text(emit_edge_list(path_graph(70)))
+        assert self._digest(tmp_path, src, "edgelist", emit) == digest
+
 
 class TestVerify:
     def test_zero_violations_exit_zero(self, tmp_path, capsys):
@@ -127,6 +175,38 @@ class TestVerify:
         code = main(["verify", "--theorems", "T3", "--n-min", "2", "--n-max", "10",
                      "--source", str(src), "--out", str(out)])
         assert code == 0
+
+    def test_source_records_in_order_and_key_order(self, tmp_path):
+        # Keys of n <= 10 are canonical forms "n:...", so "10:..." sorts before
+        # "3:..."; records must still come out by order first.
+        src = tmp_path / "mixed.g6"
+        src.write_text("KhCGGC@?G?o@\nIhCGGC@_G\nBg\nIsaCCA?_?\n"
+                       "KsaCCA?_C?O?\nBw\nIhCGGC@?G\n")
+        out = tmp_path / "report.json"
+        assert main(["verify", "--theorems", "all", "--n-min", "1", "--n-max", "62",
+                     "--source", str(src), "--no-timestamp", "--out", str(out)]) == 0
+        records = json.loads(out.read_text())["records"]
+        assert [r["n"] for r in records] == [3, 3, 10, 10, 10, 12, 12]
+        order = [(r["n"], r["graph_key"]) for r in records]
+        assert order == sorted(order)
+
+    def test_compute_and_verify_records_agree(self, tmp_path):
+        # Beyond the canonical-form cap both commands key a graph by its graph6.
+        src = tmp_path / "k34p5.g6"
+        src.write_text(emit_graph6(Graph(12, (
+            (0, 4), (0, 5), (0, 6), (1, 4), (1, 5), (1, 6), (2, 4), (2, 5), (2, 6),
+            (3, 4), (3, 5), (3, 6), (7, 8), (8, 9), (9, 10), (10, 11),
+        ))) + "\n")
+        computed, verified = tmp_path / "compute.json", tmp_path / "verify.json"
+        assert main(["compute", "--in", str(src), "--format", "graph6",
+                     "--out", str(computed), "--emit", "json"]) == 0
+        assert main(["verify", "--theorems", "all", "--n-min", "1", "--n-max", "62",
+                     "--source", str(src), "--no-timestamp", "--out", str(verified)]) == 0
+        (a,) = json.loads(computed.read_text())["records"]
+        (b,) = json.loads(verified.read_text())["records"]
+        assert len(b.pop("checks")) == 11
+        assert a.pop("checks") == []
+        assert a == b
 
     def test_deterministic_with_no_timestamp(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -16,6 +16,7 @@ from topoline.graph_core import (
 )
 from topoline.harness import EnumerationSpec, run_verification, sample_gnp
 from topoline.io_formats import (
+    MAX_EDGE_LIST_VERTICES,
     EdgeListError,
     Graph6Error,
     ReportMeta,
@@ -191,6 +192,12 @@ class TestEdgeList:
     def test_comments_and_blanks_ignored(self):
         text = "# header\n\n3\n0 1  # first edge\n1 2\n"
         assert parse_edge_list(text) == path_graph(3)
+
+    def test_vertex_count_cap(self):
+        # the degree tuple of an n-vertex graph is allocated up front
+        assert parse_edge_list(f"{MAX_EDGE_LIST_VERTICES}\n").n == MAX_EDGE_LIST_VERTICES
+        with pytest.raises(EdgeListError, match=r"line 1: vertex count 1000001 exceeds"):
+            parse_edge_list(f"{MAX_EDGE_LIST_VERTICES + 1}\n")
 
     def test_vertical_tab_does_not_break_a_line(self):
         with pytest.raises(EdgeListError, match="line 1: expected a single vertex count"):

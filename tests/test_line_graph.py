@@ -12,7 +12,7 @@ from topoline.graph_core import (
     star_graph,
 )
 from topoline.indices import compute_index_vector
-from topoline.line_graph import TrivialComponentError, line_edge_count, line_graph
+from topoline.line_graph import LineGraphResult, TrivialComponentError, line_edge_count, line_graph
 
 
 class TestLineGraph:
@@ -51,6 +51,13 @@ class TestLineGraph:
         st_l = line_graph(g).stats
         assert st_l.max_degree <= 2 * st_g.max_degree - 2
         assert st_l.min_degree >= 2 * st_g.min_degree - 2
+
+    def test_stats_built_on_demand(self):
+        lg = line_graph(star_graph(5)).line_graph
+        result = LineGraphResult(lg, {})
+        assert "stats" not in vars(result)
+        assert result.stats == degree_stats(lg)
+        assert result.stats is result.stats
 
     @given(nontrivial_graphs())
     def test_edge_count_identities(self, g):
