@@ -183,11 +183,13 @@ def sample_gnp(n: int, p: Fraction | float, seed: int) -> Graph:
 def _normalize_theorems(theorems) -> tuple[str, ...]:
     if theorems in (None, "all"):
         return THEOREM_IDS
-    ids = tuple(theorems)
-    unknown = [t for t in ids if t not in GRAPH_CHECKS]
+    ids = set(theorems)
+    if not ids:
+        raise ValueError(f"empty theorem list; valid: {list(THEOREM_IDS)} or 'all'")
+    unknown = sorted(ids - GRAPH_CHECKS.keys())
     if unknown:
         raise ValueError(f"unknown theorem ids {unknown}; valid: {list(THEOREM_IDS)}")
-    return tuple(sorted(ids, key=lambda t: int(t[1:])))
+    return tuple(t for t in THEOREM_IDS if t in ids)
 
 
 def run_verification(

@@ -38,8 +38,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .graph_core import Graph, is_forest
 
 GRANULARITIES = (2, 4, 8)
@@ -103,6 +101,9 @@ def subdivided_distances(g: Graph, granularity: int) -> SubdividedLattice:
     """Split each edge into ``granularity`` segments and measure all lattice pairs."""
     if granularity not in GRANULARITIES:
         raise ValueError(f"granularity must be one of {GRANULARITIES}, got {granularity}")
+    # numpy loads here, not at module import: runs that compute no delta never need it
+    import numpy as np
+
     k = granularity
     # vertices first, then the inner points of each edge in step order
     points = tuple(
@@ -215,6 +216,8 @@ def _farthest_tables(D: np.ndarray, adj: list[list[int]], corners: np.ndarray) -
     best F[i, r] over the predecessors r of b (neighbours one level closer).
     Entries with b or p in another component than corners[i] read -1.
     """
+    import numpy as np
+
     width = max(len(a) for a in adj)
     # pad with the point itself, which is never its own predecessor
     nbr = np.array([list(a) + [q] * (width - len(a)) for q, a in enumerate(adj)])
@@ -232,6 +235,8 @@ def _farthest_tables(D: np.ndarray, adj: list[list[int]], corners: np.ndarray) -
 
 def _lattice_delta(lat: SubdividedLattice):
     """Max sampled triangle value (in hops) over every lattice point at once."""
+    import numpy as np
+
     D = lat.hops.astype(np.min_scalar_type(-int(lat.hops.max()) - 1))
     adj = [np.flatnonzero(row == 1).tolist() for row in D]
     corners = np.array([i for i, p in enumerate(lat.points) if (p.offset * 4).denominator == 1])

@@ -11,7 +11,9 @@ alongside so that equality cases never depend on rounding.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
@@ -95,35 +97,48 @@ def evaluate_vdb_index(
     return sum(f(degs[u], degs[v]) for u, v in g.edges)
 
 
+def _ratio_sum(terms: list[tuple[int, int]]) -> tuple[int, int]:
+    """Numerator and denominator of sum(w / d) over ``(w, d)`` terms with d >= 1:
+    integer numerators over lcm(d), not reduced; (0, 1) for no terms."""
+    den = math.lcm(*(d for _, d in terms))
+    return sum(w * (den // d) for w, d in terms), den
+
+
 @functools.lru_cache(maxsize=None)
 def compute_index_vector(g: Graph) -> IndexVector:
-    """Compute every index at once, asserting the internal exact identities."""
+    """Compute every index at once, asserting the internal exact identities.
+
+    Every edge sum is taken over the degree-pair counts m_ij, so a term is
+    evaluated once per distinct pair (i, j), not once per edge.
+    """
     _require_no_isolated(g)
     degs = g.degrees
-    m = g.m
-    m1_edges = sum(degs[u] + degs[v] for u, v in g.edges)
+    # m_ij: the number of edges joining degrees i <= j
+    pair_counts: Counter[tuple[int, int]] = Counter()
+    for (i, j), c in Counter((degs[u], degs[v]) for u, v in g.edges).items():
+        pair_counts[(i, j) if i <= j else (j, i)] += c
+    counts = pair_counts.items()
+    m1_edges = sum(c * (i + j) for (i, j), c in counts)
     m1_squares = sum(d * d for d in degs)
     if m1_edges != m1_squares:
         raise AssertionError("the two first-Zagreb formulas disagree")
-    m2 = sum(degs[u] * degs[v] for u, v in g.edges)
+    m2 = sum(c * i * j for (i, j), c in counts)
     forgotten = sum(d ** 3 for d in degs)
-    harmonic = sum((Fraction(2, degs[u] + degs[v]) for u, v in g.edges), Fraction(0))
-    platt = sum(degs[u] + degs[v] - 2 for u, v in g.edges)
-    if platt != m1_edges - 2 * m:
+    harmonic = Fraction(*_ratio_sum([(2 * c, i + j) for (i, j), c in counts]))
+    platt = sum(c * (i + j - 2) for (i, j), c in counts)
+    if platt != m1_edges - 2 * g.m:
         raise AssertionError("Platt identity P = M1 - 2m violated")
 
-    ga1_terms: list[float] = []
-    ga1_exact: Fraction | None = Fraction(0)
-    for u, v in g.edges:
-        prod = degs[u] * degs[v]
-        ga1_terms.append(2.0 * math.sqrt(prod) / (degs[u] + degs[v]))
-        if ga1_exact is not None:
-            root = exact_sqrt(prod)
-            if root is None:
-                ga1_exact = None
-            else:
-                ga1_exact += Fraction(2 * root, degs[u] + degs[v])
-    ga1 = math.fsum(ga1_terms)
+    # fsum is correctly rounded, so repeating each pair's term c times gives
+    # the same float as summing one term per edge (c * term would not).
+    ga1 = math.fsum(itertools.chain.from_iterable(
+        itertools.repeat(2.0 * math.sqrt(i * j) / (i + j), c) for (i, j), c in counts
+    ))
+    roots = {(i, j): exact_sqrt(i * j) for i, j in pair_counts}
+    ga1_exact = (
+        Fraction(*_ratio_sum([(2 * c * roots[i, j], i + j) for (i, j), c in counts]))
+        if None not in roots.values() else None
+    )
 
     return IndexVector(
         m1=Fraction(m1_edges),

@@ -46,11 +46,8 @@ def line_graph(g: Graph) -> LineGraphResult:
     for e, i in edge_index.items():
         incident[e[0]].append(i)
         incident[e[1]].append(i)
-    line_edges = set()
-    for inc in incident:
-        for a, b in combinations(sorted(inc), 2):
-            line_edges.add((a, b))
-    lg = Graph(g.m, tuple(sorted(line_edges)))
+    # Graph sorts the pairs itself; none repeats, as two edges share at most one end.
+    lg = Graph(g.m, tuple(p for inc in incident for p in combinations(inc, 2)))
 
     degs = g.degrees
     for (u, v), i in edge_index.items():

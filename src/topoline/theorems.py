@@ -31,7 +31,8 @@ T9   H(G) <= n/2 (equality iff all components regular) and
      H(L(G)) <= m/2 (equality iff all components regular or biregular)
                                          [standing; line branch non_trivial]
 T10  for integers 3 <= k <= D and x_1..x_k in [1, D], with
-     S = sum_j 1/(x_j+k) and T = sum_{i<j} 1/(x_i+x_j+2k-4):
+     S = sum_j 1/(x_j+k) and T = sum_{i<j} 1/(x_i+x_j+2k-4)
+     (both summed over the distinct x values, weighted by their counts):
      2/(k-1) * T <= S <= 2(D+2k-3)/(k^2-1) * T   and
      2/(D-1) * T <= S <= (D+3)/4 * T
      [tuple invariants; on a graph, standing and a vertex of degree >= 3]
@@ -43,7 +44,9 @@ T11  c_low * H(G) <= H(L(G)) <= c_high * H(G) with
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Union
@@ -61,7 +64,7 @@ from .hyperbolicity import (
     HyperbolicityCapError,
     hyperbolicity_constant,
 )
-from .indices import IndexVector, compute_index_vector, exact_sqrt
+from .indices import IndexVector, _ratio_sum, compute_index_vector, exact_sqrt
 from .line_graph import line_graph
 
 REAL_TOLERANCE = 1e-9
@@ -360,26 +363,28 @@ def check_T9_harmonic_bounds(g: Graph, st: DegreeStats) -> BoundCheckResult:
 
 
 def check_T10_lemma(inst: LemmaInstance) -> BoundCheckResult:
-    k, d_max, xs = inst.k, inst.max_degree, inst.xs
-    s_sum = sum((Fraction(1, x + k) for x in xs), Fraction(0))
-    t_sum = sum(
-        (
-            Fraction(1, xs[i] + xs[j] + 2 * k - 4)
-            for i in range(k)
-            for j in range(i + 1, k)
-        ),
-        Fraction(0),
-    )
+    """Evaluate the lemma with S and T summed over the distinct entries v,
+    each with its count c_v: S = sum c_v/(v+k) and
+    T = sum_{v<w} c_v c_w/(v+w+2k-4) + sum_v C(c_v, 2)/(2v+2k-4)."""
+    k, d_max = inst.k, inst.max_degree
+    counts = Counter(inst.xs).items()
+    s_sum = Fraction(*_ratio_sum([(c, v + k) for v, c in counts]))
+    shift = 2 * k - 4
+    t_terms = [(c * (c - 1) // 2, 2 * v + shift) for v, c in counts if c > 1]
+    t_terms += [
+        (cv * cw, v + w + shift)
+        for (v, cv), (w, cw) in itertools.combinations(counts, 2)
+    ]
+    t_num, t_den = _ratio_sum(t_terms)
+
+    def times_t(num: int, den: int) -> Fraction:
+        return Fraction(num * t_num, den * t_den)
+
     parts = [
-        _compare("T10.lemma_lower", s_sum, Fraction(2, k - 1) * t_sum, "lower"),
-        _compare(
-            "T10.lemma_upper",
-            s_sum,
-            Fraction(2 * (d_max + 2 * k - 3), k * k - 1) * t_sum,
-            "upper",
-        ),
-        _compare("T10.corollary_lower", s_sum, Fraction(2, d_max - 1) * t_sum, "lower"),
-        _compare("T10.corollary_upper", s_sum, Fraction(d_max + 3, 4) * t_sum, "upper"),
+        _compare("T10.lemma_lower", s_sum, times_t(2, k - 1), "lower"),
+        _compare("T10.lemma_upper", s_sum, times_t(2 * (d_max + 2 * k - 3), k * k - 1), "upper"),
+        _compare("T10.corollary_lower", s_sum, times_t(2, d_max - 1), "lower"),
+        _compare("T10.corollary_upper", s_sum, times_t(d_max + 3, 4), "upper"),
     ]
     return _combine("T10", parts)
 

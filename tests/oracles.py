@@ -3,12 +3,14 @@
 Everything here is written against the definitions directly, sharing no
 algorithmic machinery with the package: canonical keys by trying every
 permutation, hyperbolicity by enumerating every geodesic triangle (all
-geodesic choices) on the subdivision lattice, distances by a fresh BFS.
+geodesic choices) on the subdivision lattice, distances by a fresh BFS,
+indices and the T10 sums by one term per edge or per pair.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from fractions import Fraction
 
@@ -29,6 +31,41 @@ def brute_canonical_key(g: Graph) -> str:
         if best is None or s < best:
             best = s
     return f"{g.n}:{best or ''}"
+
+
+def index_vector_oracle(g: Graph) -> dict[str, Fraction | float | None]:
+    """Every index of the README table, one term per edge, in the keys of
+    ``IndexVector.as_dict``; GA1 is the correctly rounded sum of per-edge terms."""
+    d = [0] * g.n
+    for u, v in g.edges:
+        d[u] += 1
+        d[v] += 1
+    pairs = [(d[u], d[v]) for u, v in g.edges]
+    roots = [math.isqrt(a * b) for a, b in pairs]
+    rational = all(r * r == a * b for r, (a, b) in zip(roots, pairs))
+    return {
+        "m1": sum((Fraction(a + b) for a, b in pairs), Fraction(0)),
+        "m2": sum((Fraction(a * b) for a, b in pairs), Fraction(0)),
+        "forgotten": sum((Fraction(a * a + b * b) for a, b in pairs), Fraction(0)),
+        "harmonic": sum((Fraction(2, a + b) for a, b in pairs), Fraction(0)),
+        "ga1": math.fsum(2.0 * math.sqrt(a * b) / (a + b) for a, b in pairs),
+        "ga1_exact": (
+            sum((Fraction(2 * r, a + b) for r, (a, b) in zip(roots, pairs)), Fraction(0))
+            if rational else None
+        ),
+        "platt": sum((Fraction(a + b - 2) for a, b in pairs), Fraction(0)),
+    }
+
+
+def t10_sums_oracle(k: int, xs: tuple[int, ...]) -> tuple[Fraction, Fraction]:
+    """S = sum_j 1/(x_j+k) and T = sum over the C(k, 2) pairs i < j of
+    1/(x_i+x_j+2k-4), one term each."""
+    s = sum((Fraction(1, x + k) for x in xs), Fraction(0))
+    t = sum(
+        (Fraction(1, a + b + 2 * k - 4) for a, b in itertools.combinations(xs, 2)),
+        Fraction(0),
+    )
+    return s, t
 
 
 def bfs_distances(adj: list[list[int]], src: int) -> list[int]:

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import topoline
 from topoline.cli import main
 from topoline.graph_core import Graph, complete_graph, cycle_graph, path_graph, star_graph
 from topoline.io_formats import emit_edge_list, emit_graph6
@@ -216,6 +221,23 @@ class TestVerify:
         assert main(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("theorems", ["", ",", " , "])
+    def test_empty_theorem_list_exit_two(self, theorems, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = main(["verify", "--theorems", theorems, "--n-min", "3", "--n-max", "3",
+                     "--out", str(out)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_theorem_ids_run_once(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = main(["verify", "--theorems", "T3,T1,T3,T1", "--n-min", "3", "--n-max", "3",
+                     "--out", str(out)])
+        assert code == 0
+        assert "checked 4 graphs, 8 checks" in capsys.readouterr().out
+        assert json.loads(out.read_text())["meta"]["theorems"] == ["T1", "T3"]
+
     def test_usage_error_exit_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--n-min", "2", "--n-max", "4", "--out", "x.json"])
@@ -235,6 +257,22 @@ class TestVerify:
                      "--connected", "--out", str(out)])
         assert code == 1
         assert "VIOLATION T1" in capsys.readouterr().out
+
+
+def test_numpy_loaded_only_for_delta():
+    # Only the exact hyperbolicity search needs numpy; importing the CLI and
+    # listing the catalog must not pay for it.
+    probe = (
+        "import sys\n"
+        "import topoline.cli\n"
+        "assert 'numpy' not in sys.modules, 'import topoline.cli'\n"
+        "assert topoline.cli.main(['theorems']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'topoline theorems'\n"
+    )
+    paths = [str(Path(topoline.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
 
 
 class TestHyperbolicity:

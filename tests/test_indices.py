@@ -1,15 +1,18 @@
 import math
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import connected_graphs, graphs
+from oracles import index_vector_oracle
 from topoline.graph_core import (
     Graph,
     complete_graph,
     cycle_graph,
+    degree_stats,
     disjoint_union,
     path_graph,
     star_graph,
@@ -21,6 +24,21 @@ from topoline.indices import (
     evaluate_vdb_index,
     harmonic_of_path,
 )
+from topoline.line_graph import line_graph
+
+
+@st.composite
+def graphs_without_isolated(draw, max_n: int = 12):
+    """A random edge set on the vertices it touches, relabelled 0..n-1."""
+    g = draw(graphs(min_n=2, max_n=max_n))
+    used = sorted({v for e in g.edges for v in e})
+    label = {v: i for i, v in enumerate(used)}
+    return Graph(len(used), tuple((label[u], label[v]) for u, v in g.edges))
+
+
+def _from_networkx(h: nx.Graph) -> Graph:
+    label = {v: i for i, v in enumerate(sorted(h.nodes))}
+    return Graph(len(label), tuple((label[u], label[v]) for u, v in h.edges))
 
 
 class TestEvaluateVdbIndex:
@@ -93,6 +111,27 @@ class TestComputeIndexVector:
         iv = compute_index_vector(g)
         if iv.ga1_exact is not None:
             assert iv.ga1 == pytest.approx(float(iv.ga1_exact), abs=1e-9)
+
+
+class TestAgainstEdgeSumOracle:
+    """The index vector equals one term per edge, GA1 bit for bit."""
+
+    @given(graphs_without_isolated())
+    def test_graph_and_its_line_graph(self, g):
+        assert compute_index_vector(g).as_dict() == index_vector_oracle(g)
+        if g.m and degree_stats(g).is_non_trivial:
+            lg = line_graph(g).line_graph
+            assert compute_index_vector(lg).as_dict() == index_vector_oracle(lg)
+
+    @given(graphs_without_isolated())
+    def test_networkx_line_graph(self, g):
+        if not g.m or not degree_stats(g).is_non_trivial:
+            return
+        lg = _from_networkx(nx.line_graph(nx.Graph(list(g.edges))))
+        assert compute_index_vector(lg).as_dict() == index_vector_oracle(lg)
+
+    def test_empty_graph(self):
+        assert compute_index_vector(Graph(0)).as_dict() == index_vector_oracle(Graph(0))
 
 
 class TestHarmonicOfPath:

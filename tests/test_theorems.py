@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import connected_graphs, nontrivial_graphs
+from oracles import t10_sums_oracle
 from topoline.graph_core import (
     Graph,
     complete_graph,
@@ -13,6 +15,7 @@ from topoline.graph_core import (
     path_graph,
     star_graph,
 )
+from topoline.io_formats import _check_to_dict
 from topoline.theorems import (
     GRAPH_CHECKS,
     LemmaInstance,
@@ -28,6 +31,8 @@ from topoline.theorems import (
     check_T10_lemma,
     check_T10_on_graph,
     check_T11_harmonic_sandwich,
+    _combine,
+    _compare,
 )
 
 
@@ -240,6 +245,31 @@ class TestT10:
         r = check_T10_on_graph(star_graph(4))
         assert r.satisfied and len(r.branches) == 1
         assert check_T10_on_graph(cycle_graph(5)).applicable is False
+
+
+@st.composite
+def lemma_instances(draw):
+    """Tuples drawn from a pool of at most three values, so most repeat."""
+    d_max = draw(st.integers(3, 40))
+    k = draw(st.integers(3, min(30, d_max)))
+    pool = draw(st.lists(st.integers(1, d_max), min_size=1, max_size=3))
+    xs = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
+    return LemmaInstance(k, d_max, tuple(xs))
+
+
+class TestT10AgainstPairSumOracle:
+    @given(lemma_instances())
+    def test_same_result_as_the_pair_sums(self, inst):
+        k, d_max = inst.k, inst.max_degree
+        s_sum, t_sum = t10_sums_oracle(k, inst.xs)
+        expected = _combine("T10", [
+            _compare("T10.lemma_lower", s_sum, Fraction(2, k - 1) * t_sum, "lower"),
+            _compare("T10.lemma_upper", s_sum,
+                     Fraction(2 * (d_max + 2 * k - 3), k * k - 1) * t_sum, "upper"),
+            _compare("T10.corollary_lower", s_sum, Fraction(2, d_max - 1) * t_sum, "lower"),
+            _compare("T10.corollary_upper", s_sum, Fraction(d_max + 3, 4) * t_sum, "upper"),
+        ])
+        assert _check_to_dict(check_T10_lemma(inst)) == _check_to_dict(expected)
 
 
 class TestT11:
