@@ -90,6 +90,12 @@ class Graph:
     def _components(self) -> tuple[ComponentInfo, ...]:
         return _decompose(self)
 
+    @functools.cached_property
+    def _canonical_key(self) -> str:
+        cols = _min_columns(self._adj_masks, self.n)
+        bits = "".join(format(col, f"0{t}b") for t, col in enumerate(cols) if t >= 1)
+        return f"{self.n}:{bits}"
+
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and v in self.adjacency[u]
 
@@ -255,69 +261,56 @@ def classify_components(g: Graph) -> ComponentDecomposition:
 #
 # The key is the lexicographically minimal upper-triangular adjacency bit
 # string over all vertex permutations, with bits read column by column:
-# (0,1), (0,2), (1,2), (0,3), ... (the graph6 bit order).  The search assigns
-# positions one at a time; each new position contributes one full column, so
-# only candidates achieving the minimal column need to be explored, and tied
-# candidates that are interchangeable with an already-kept one are dropped.
+# (0,1), (0,2), (1,2), (0,3), ... (the graph6 bit order).  The search fills
+# positions level by level.  A state is a partial ordering: its ``used``
+# bitmask and each free vertex's column so far (its adjacency to the placed
+# vertices, in order).  Every state shares the minimal columns so far; a level
+# keeps only the placements that achieve the least next column over all
+# states, so an ordering dies at the first column where it loses.  Within a
+# state, a tied vertex interchangeable with an already-kept one (same
+# adjacency to every other free vertex) is dropped: the two orderings differ by
+# an automorphism that fixes the prefix.
 
 
 def _min_columns(masks: Sequence[int], n: int) -> tuple[int, ...]:
     full = (1 << n) - 1
-
-    def extend(assigned: tuple[int, ...], used: int) -> tuple[int, ...]:
-        t = len(assigned)
-        if t == n:
-            return ()
-        groups: dict[int, list[int]] = {}
-        for v in range(n):
-            if used >> v & 1:
-                continue
-            col = 0
-            mv = masks[v]
-            for u in assigned:
-                col = (col << 1) | (mv >> u & 1)
-            groups.setdefault(col, []).append(v)
-        cmin = min(groups)
-        kept: list[int] = []
-        for v in groups[cmin]:
-            mv = masks[v]
-            for u in kept:
-                # Interchangeable with a kept candidate: same adjacency on
-                # everything unassigned apart from u and v themselves.
-                rest = full & ~used & ~(1 << u) & ~(1 << v)
-                if masks[u] & rest == mv & rest:
-                    break
-            else:
-                kept.append(v)
-        best: tuple[int, ...] | None = None
-        for v in kept:
-            suffix = extend(assigned + (v,), used | (1 << v))
-            if best is None or suffix < best:
-                best = suffix
-        assert best is not None
-        return (cmin,) + best
-
-    return extend((), 0)
-
-
-@functools.lru_cache(maxsize=1 << 17)
-def _canonical_key(g: Graph) -> str:
-    cols = _min_columns(g._adj_masks, g.n)
-    bits = "".join(format(col, f"0{t}b") for t, col in enumerate(cols) if t >= 1)
-    return f"{g.n}:{bits}"
+    states = [(0, dict.fromkeys(range(n), 0))]
+    cols: list[int] = []
+    for _ in range(n):
+        cmin = min(min(free.values()) for _, free in states)
+        level = []
+        for used, free in states:
+            kept: list[int] = []
+            for v, c in free.items():
+                if c != cmin:
+                    continue
+                mv = masks[v]
+                for u in kept:
+                    rest = full & ~used & ~(1 << u) & ~(1 << v)
+                    if masks[u] & rest == mv & rest:
+                        break
+                else:
+                    kept.append(v)
+            for w in kept:
+                level.append((used | 1 << w, {
+                    v: (c << 1) | (masks[v] >> w & 1) for v, c in free.items() if v != w
+                }))
+        cols.append(cmin)
+        states = level
+    return tuple(cols)
 
 
 def canonical_form(g: Graph, cap: int = CANONICAL_CAP) -> str:
     """Canonical key: identical keys iff the graphs are isomorphic.
 
-    Brute-force minimal adjacency bit string; cost is exponential in the worst
-    case, hence the explicit cap.
+    The minimal adjacency bit string, computed once per ``Graph`` object; cost
+    is exponential in the worst case, hence the explicit cap.
     """
     if g.n > cap:
         raise CanonicalCapError(
             f"graph on {g.n} vertices is too large for exact canonicalization (cap {cap})"
         )
-    return _canonical_key(g)
+    return g._canonical_key
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:

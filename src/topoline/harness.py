@@ -97,6 +97,8 @@ def enumerate_trees(n: int) -> tuple[Graph, ...]:
     """All trees on n vertices up to isomorphism (leaf augmentation + dedup)."""
     if n < 1:
         raise ValueError("trees need n >= 1")
+    if n > CANONICAL_CAP:
+        raise EnumerationCapError(f"tree enumeration caps at n={CANONICAL_CAP}, the canonical-form cap")
     if n == 1:
         return (Graph(1),)
     return _first_per_key(

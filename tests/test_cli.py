@@ -305,6 +305,11 @@ class TestExtremalAndEnumerate:
         assert value == "7/3"
         assert is_isomorphic(parse_graph6(g6), path_graph(5))
 
+    def test_extremal_trees_past_cap_refused(self, capsys):
+        assert main(["extremal", "--index", "m1", "--objective", "max",
+                     "--class", "trees", "--n", "11"]) == 2
+        assert "tree enumeration caps at n=10" in capsys.readouterr().err
+
     def test_extremal_unknown_index(self, capsys):
         assert main(["extremal", "--index", "nope", "--objective", "max",
                      "--class", "trees", "--n", "5"]) == 2
@@ -314,6 +319,30 @@ class TestExtremalAndEnumerate:
         assert main(["enumerate", "--n", "4", "--connected", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 6
+
+    # sha256 of `topoline enumerate --n k [--connected]`: the representatives,
+    # their graph6 labels and their order.
+    @pytest.mark.parametrize("n,connected,digest", [
+        (1, False, "ecf5de1a2ecc66a1876a832804c64f6b5125784e94c82285d9720621c613ab46"),
+        (1, True, "ecf5de1a2ecc66a1876a832804c64f6b5125784e94c82285d9720621c613ab46"),
+        (2, False, "b7cd2a004ade86133158ffa94292f1d79a1fa154874706bf33b9e841cd3fa4cb"),
+        (2, True, "fae4bfc454bd04363dcd5222772f2973b1193e1ff6f676e822a427323a677ef9"),
+        (3, False, "aefbaa12a956ed1f415fa897c455185134275a89a57ce1ef7d38f771c0d9129e"),
+        (3, True, "5966edf890849db6cb03626431916231a81a30c9db9a4781a4a8f2e5dc7e6129"),
+        (4, False, "a38c483c05606caf1cf27e2fcb5a225d4001df8768275d678128bff91b970e61"),
+        (4, True, "d7da485669f2dc74b81c02f18774a07430937684896833d59f138b10debb5005"),
+        (5, False, "89d2e41d50ffbaef209a46a9c4989998da3fa949113d6b29e6cf085cf750e895"),
+        (5, True, "ebf65688effd0b441bc7848a6cffe36c093ec1db0af06625659c4c6eb1941205"),
+        (6, False, "f9aa0572f14d0dd96b68339b65d47f4b3708accc2f0679709eda774f321d6211"),
+        (6, True, "2bb46e0d5f43949d0199b0659c96b74dbbaa630ddee80136a1b83dbca97b7e6d"),
+        (7, False, "ee2aa8dcadd4034592b393382bedd8f8f4cc8a3c97506c86b02d75954079572d"),
+        (7, True, "eece8411b56cccaf0ab1d1a162c0b8d85e183681d10841e7f9664d57b15fc7c9"),
+    ])
+    def test_enumerate_output_pinned(self, tmp_path, n, connected, digest):
+        out = tmp_path / "out.g6"
+        flags = ["--connected"] if connected else []
+        assert main(["enumerate", "--n", str(n), *flags, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_refused_enumerate_leaves_no_file(self, tmp_path, capsys):
         out = tmp_path / "e.g6"

@@ -4,7 +4,7 @@ import random
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
@@ -16,6 +16,7 @@ from topoline.graph_core import (
     build_graph,
     canonical_form,
     classify_components,
+    complete_bipartite_graph,
     complete_graph,
     components,
     cycle_graph,
@@ -141,6 +142,31 @@ class TestClassifyComponents:
             assert info.degree_pair == (tuple(sorted(degrees, reverse=True)) if biregular else None)
 
 
+def _circulant(n: int, jumps: tuple[int, ...]) -> Graph:
+    return Graph(n, tuple((i, (i + j) % n) for i in range(n) for j in jumps))
+
+
+def _complement(g: Graph) -> Graph:
+    present = set(g.edges)
+    return Graph(g.n, tuple(p for p in itertools.combinations(range(g.n), 2) if p not in present))
+
+
+_PETERSEN = Graph(10, tuple((i, (i + 1) % 5) for i in range(5))
+                  + tuple((5 + i, 5 + (i + 2) % 5) for i in range(5))
+                  + tuple((i, i + 5) for i in range(5)))
+_CUBE = Graph(8, tuple((i, i | 1 << b) for i in range(8) for b in range(3) if not i >> b & 1))
+_SYMMETRIC_BASES = {
+    "petersen": _PETERSEN, "C9": cycle_graph(9), "C10": cycle_graph(10), "K10": complete_graph(10),
+    "K5,5": complete_bipartite_graph(5, 5), "K4,5": complete_bipartite_graph(4, 5),
+    "Q3+K2": disjoint_union(_CUBE, path_graph(2)),
+    "2C5": disjoint_union(cycle_graph(5), cycle_graph(5)),
+    "3C3": disjoint_union(disjoint_union(cycle_graph(3), cycle_graph(3)), cycle_graph(3)),
+    "C9(1,2)": _circulant(9, (1, 2)), "C10(1,2)": _circulant(10, (1, 2)),
+    "C10(1,3)": _circulant(10, (1, 3)),
+}
+_SYMMETRIC = {**_SYMMETRIC_BASES, **{f"co-{name}": _complement(g) for name, g in _SYMMETRIC_BASES.items()}}
+
+
 class TestCanonicalForm:
     def test_relabelings_share_key(self):
         c4 = cycle_graph(4)
@@ -168,7 +194,7 @@ class TestCanonicalForm:
         assert len(keys) == 6
 
     def test_matches_permutation_oracle_exhaustively(self):
-        for n in range(5):
+        for n in range(6):
             pairs = list(itertools.combinations(range(n), 2))
             for bits in range(1 << len(pairs)):
                 g = Graph(n, tuple(pairs[i] for i in range(len(pairs)) if bits >> i & 1))
@@ -183,6 +209,21 @@ class TestCanonicalForm:
     @given(graphs(min_n=6, max_n=6))
     def test_matches_oracle_on_random_six_vertex_graphs(self, g):
         assert canonical_form(g) == brute_canonical_key(g)
+
+    @settings(max_examples=12)
+    @given(graphs(min_n=7, max_n=7))
+    def test_matches_oracle_on_random_seven_vertex_graphs(self, g):
+        assert canonical_form(g) == brute_canonical_key(g)
+
+    @pytest.mark.parametrize("g", _SYMMETRIC.values(), ids=list(_SYMMETRIC))
+    def test_invariant_under_permutation_on_symmetric_graphs(self, g):
+        # Large automorphism groups keep the most partial orderings tied.
+        key = canonical_form(g)
+        rnd = random.Random(0)
+        for _ in range(3):
+            perm = list(range(g.n))
+            rnd.shuffle(perm)
+            assert canonical_form(permute(g, perm)) == key
 
     def test_cap(self):
         with pytest.raises(CanonicalCapError, match="too large"):

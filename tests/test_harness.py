@@ -14,6 +14,7 @@ from topoline.harness import (
     EnumerationCapError,
     EnumerationSpec,
     ExtremalQuery,
+    _all_graphs,
     enumerate_graphs,
     enumerate_trees,
     extremal_search,
@@ -40,6 +41,22 @@ class TestEnumeration:
         assert len(keys) == len(set(keys))
         assert keys == sorted(keys)
 
+    # sha256 of the canonical keys of _all_graphs(n), in order, one per line:
+    # a change to the canonical search must leave keys and their order alone.
+    @pytest.mark.parametrize("n,digest", [
+        (0, "ba768b331fd86cec803be04e56ab2b3d4c0e98ef4ee4fcd4e72ad7cce61a1d1f"),
+        (1, "0758ffe9350a70a1adf269901b9aa458444de136e5b6d98091f8cc33580a0088"),
+        (2, "f6d493485a539d6b248d13155d866a6c4e3d0db4e141f0babc372f8837365fbe"),
+        (3, "32e0d6cd40d2a6cdc60be3ef9b82302887f854e3703723cbf12812749fb15d49"),
+        (4, "c84fd0f0c19e82b53e21b411249d47907399f49760b68f66141ee6eb3a9d141c"),
+        (5, "bda0c89559599f6944aba79f122dd3c499915cdf20faead1440a79ebcf88bec3"),
+        (6, "e48d3b3bb166c10aa26638b12d504f21a3468f684cc99e5a4f42ff16292fd17f"),
+        (7, "98d1b2def0e5e586ee01510ed2fe3789cb6ec8e9e682d0974566ed04dca2f08b"),
+    ])
+    def test_canonical_keys_pinned(self, n, digest):
+        keys = "\n".join(canonical_form(g) for g in _all_graphs(n))
+        assert hashlib.sha256(keys.encode()).hexdigest() == digest
+
     def test_cap_error_mentions_file_source(self):
         with pytest.raises(EnumerationCapError, match="graph6 file"):
             list(enumerate_graphs(EnumerationSpec(2, 9)))
@@ -65,6 +82,13 @@ class TestEnumeration:
     def test_tree_counts(self):
         # published tree counts 1, 1, 1, 2, 3, 6, 11, 23 for n = 1..8
         assert [len(enumerate_trees(n)) for n in range(1, 9)] == [1, 1, 1, 2, 3, 6, 11, 23]
+
+    def test_tree_cap_refused_before_work(self, monkeypatch):
+        import topoline.harness as harness
+
+        monkeypatch.setattr(harness, "canonical_form", None)  # any call would raise
+        with pytest.raises(EnumerationCapError, match="tree enumeration caps at n=10"):
+            enumerate_trees(11)
 
     def test_trees_are_trees(self):
         for t in enumerate_trees(7):
