@@ -17,7 +17,8 @@ from .harness import (
     extremal_search,
     graph_label,
     graph_record,
-    run_verification,
+    verification_meta,
+    verify_records,
 )
 from .hyperbolicity import HyperbolicityCapError, hyperbolicity_constant, hyperbolicity_upper_bound
 from .indices import IsolatedVertexError, compute_index_vector
@@ -25,12 +26,10 @@ from .io_formats import (
     EdgeListError,
     Graph6Error,
     ReportMeta,
-    RunReport,
     emit_graph6,
-    emit_index_csv,
-    emit_report,
     format_value,
     read_graph_file,
+    write_report,
 )
 from .line_graph import TrivialComponentError, line_graph
 from .theorems import THEOREM_IDS, THEOREM_STATEMENTS
@@ -43,13 +42,8 @@ def _cmd_compute(args) -> int:
     graphs = read_graph_file(args.infile, args.format)
     if args.line_graph:
         graphs = [line_graph(g).line_graph for g in graphs]
-    report = RunReport(
-        meta=ReportMeta(),
-        records=tuple(graph_record(g, compute_index_vector(g)) for g in graphs),
-    )
-    payload = emit_index_csv(report) if args.emit == "csv" else emit_report(report, "json")
-    with open(args.out, "wb") as fh:
-        fh.write(payload)
+    records = (graph_record(g, compute_index_vector(g)) for g in graphs)
+    write_report(ReportMeta(), records, "index_csv" if args.emit == "csv" else "json", args.out)
     return 0
 
 
@@ -66,11 +60,9 @@ def _cmd_verify(args) -> int:
         source=args.source,
     )
     timestamp = None if args.no_timestamp else datetime.now(timezone.utc).isoformat()
-    report = run_verification(spec, theorems, timestamp=timestamp)
+    meta = verification_meta(spec, theorems, timestamp=timestamp)
     fmt = "csv" if args.out.endswith(".csv") else "json"
-    with open(args.out, "wb") as fh:
-        fh.write(emit_report(report, fmt))
-    aggregates = report.aggregates()
+    aggregates = write_report(meta, verify_records(spec, meta.theorems), fmt, args.out)
     print(
         f"checked {aggregates['graphs_checked']} graphs, "
         f"{aggregates['checks_run']} checks, "

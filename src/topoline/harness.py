@@ -194,20 +194,27 @@ def _normalize_theorems(theorems) -> tuple[str, ...]:
     return tuple(t for t in THEOREM_IDS if t in ids)
 
 
-def run_verification(
+def verification_meta(
     spec: EnumerationSpec,
     theorems=None,
     *,
     seed: int | None = None,
     timestamp: str | None = None,
-) -> RunReport:
-    """Check every (graph, applicable theorem) pair and aggregate the outcome.
+) -> ReportMeta:
+    """The report head of a run; refuses an empty or unknown theorem selection.
 
     ``timestamp`` is caller-supplied (None by default) so that identical
     inputs serialize to byte-identical reports.
     """
+    return ReportMeta(
+        timestamp=timestamp, seed=seed, spec=spec.as_dict(), theorems=_normalize_theorems(theorems)
+    )
+
+
+def verify_records(spec: EnumerationSpec, theorems=None) -> Iterator[GraphRecord]:
+    """Check every (graph, selected theorem) pair, yielding each graph's record
+    as soon as it is checked; nothing here keeps a record once it is yielded."""
     ids = _normalize_theorems(theorems)
-    records = []
     for g in enumerate_graphs(spec):
         try:
             iv = compute_index_vector(g)
@@ -215,14 +222,22 @@ def run_verification(
         except IsolatedVertexError as exc:
             iv = None
             note = str(exc)
-        records.append(graph_record(
+        yield graph_record(
             g, iv, (GRAPH_CHECKS[tid](g) for tid in ids), note,
             key=canonical_form(g) if g.n <= CANONICAL_CAP else None,
-        ))
-    meta = ReportMeta(
-        timestamp=timestamp, seed=seed, spec=spec.as_dict(), theorems=ids
-    )
-    return RunReport(meta=meta, records=tuple(records))
+        )
+
+
+def run_verification(
+    spec: EnumerationSpec,
+    theorems=None,
+    *,
+    seed: int | None = None,
+    timestamp: str | None = None,
+) -> RunReport:
+    """The whole report of a run in memory: :func:`verify_records`, collected."""
+    meta = verification_meta(spec, theorems, seed=seed, timestamp=timestamp)
+    return RunReport(meta=meta, records=tuple(verify_records(spec, meta.theorems)))
 
 
 #: index name -> callable(Graph) -> Fraction | float

@@ -7,18 +7,23 @@ column by column ((0,1), (0,2), (1,2), (0,3), ...), zero padded.
 
 Reports keep rationals as "p/q" strings and reals at 12 significant digits so
 exact identities stay exact on disk, and identical report contents always
-serialize to identical bytes.
+serialize to identical bytes.  A report is written as a stream: the writer
+takes each record once and keeps none (see :func:`write_report`).
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import logging
-from dataclasses import dataclass
+import os
+import shutil
+import tempfile
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterable, TextIO
 
 from .graph_core import Graph, build_graph
 from .indices import IndexVector
@@ -247,124 +252,196 @@ class GraphRecord:
     note: str = ""
 
 
+@dataclass
+class ReportTally:
+    """A report's aggregates, counted one record at a time."""
+
+    graphs_checked: int = 0
+    checks_run: int = 0
+    violations: int = 0
+    equality_cases: int = 0
+    not_applicable: int = 0
+    violation_refs: list[list[str]] = field(default_factory=list)
+
+    def add(self, rec: GraphRecord) -> GraphRecord:
+        """Count ``rec`` and return it, so ``map(tally.add, records)`` counts a stream."""
+        self.graphs_checked += 1
+        for check in rec.checks:
+            self.checks_run += 1
+            if not check.applicable:
+                self.not_applicable += 1
+                continue
+            if not check.satisfied:
+                self.violations += 1
+                self.violation_refs.append([rec.graph_key, check.theorem_id])
+            if check.equality:
+                self.equality_cases += 1
+        return rec
+
+
 @dataclass(frozen=True, eq=False)
 class RunReport:
     meta: ReportMeta
     records: tuple[GraphRecord, ...]
 
     def aggregates(self) -> dict[str, Any]:
-        checks_run = 0
-        violations = 0
-        equality_cases = 0
-        not_applicable = 0
-        violation_refs: list[list[str]] = []
+        tally = ReportTally()
         for rec in self.records:
-            for check in rec.checks:
-                checks_run += 1
-                if not check.applicable:
-                    not_applicable += 1
-                    continue
-                if not check.satisfied:
-                    violations += 1
-                    violation_refs.append([rec.graph_key, check.theorem_id])
-                if check.equality:
-                    equality_cases += 1
-        return {
-            "graphs_checked": len(self.records),
-            "checks_run": checks_run,
-            "violations": violations,
-            "equality_cases": equality_cases,
-            "not_applicable": not_applicable,
-            "violation_refs": violation_refs,
+            tally.add(rec)
+        return asdict(tally)
+
+
+# JSON reports are laid out exactly as json.dumps(doc, indent=2, sort_keys=True)
+# lays them out; the records are written through fixed templates, keys in
+# sorted order, because json.dumps cannot use its C encoder once it indents.
+_esc = json.encoder.encode_basestring_ascii
+_BOOL = {False: "false", True: "true"}
+
+
+def _check_json(c: BoundCheckResult, pad: str) -> str:
+    """One check object whose braces sit at indentation ``pad``."""
+    key = pad + "  "
+    branches = ""
+    if c.branches:
+        item = key + "  "
+        branches = (f'{key}"branches": [\n{item}'
+                    + f",\n{item}".join(_check_json(b, item) for b in c.branches)
+                    + f"\n{key}],\n")
+    return (
+        f'{{\n{key}"applicable": {_BOOL[c.applicable]},\n{branches}'
+        f'{key}"equality": {_BOOL[c.equality]},\n'
+        f'{key}"lhs": {_esc(format_value(c.lhs))},\n'
+        f'{key}"reason": {_esc(c.reason)},\n'
+        f'{key}"rhs": {_esc(format_value(c.rhs))},\n'
+        f'{key}"satisfied": {_BOOL[c.satisfied]},\n'
+        f'{key}"slack": {_esc(format_value(c.slack))},\n'
+        f'{key}"theorem_id": {_esc(c.theorem_id)}\n'
+        f"{pad}}}"
+    )
+
+
+def _record_json(rec: GraphRecord) -> str:
+    """One element of the "records" list, its braces at indentation 4."""
+    if rec.checks:
+        pad = "        "
+        checks = (f"[\n{pad}" + f",\n{pad}".join(_check_json(c, pad) for c in rec.checks)
+                  + "\n      ]")
+    else:
+        checks = "[]"
+    if rec.indices is None:
+        indices = "null"
+    else:
+        indices = "{\n" + ",\n".join(
+            f"        {_esc(name)}: {_esc(format_value(value))}"
+            for name, value in sorted(rec.indices.as_dict().items())
+        ) + "\n      }"
+    return (
+        f'{{\n      "checks": {checks},\n'
+        f'      "graph6": {_esc(rec.graph6)},\n'
+        f'      "graph_key": {_esc(rec.graph_key)},\n'
+        f'      "indices": {indices},\n'
+        f'      "m": {rec.m},\n'
+        f'      "max_deg": {rec.max_degree},\n'
+        f'      "min_deg": {rec.min_degree},\n'
+        f'      "n": {rec.n},\n'
+        f'      "note": {_esc(rec.note)}\n'
+        "    }"
+    )
+
+
+def _check_rows(rec: GraphRecord) -> list[list]:
+    rows = []
+    for check in rec.checks:
+        if check.applicable:
+            satisfied, equality = _BOOL[check.satisfied], _BOOL[check.equality]
+        else:
+            satisfied, equality = "na", ""
+        rows.append(
+            [rec.graph_key, rec.n, rec.m, rec.max_degree, rec.min_degree,
+             check.theorem_id, format_value(check.lhs), format_value(check.rhs),
+             satisfied, equality, format_value(check.slack)]
+        )
+    return rows
+
+
+_INDEX_COLUMNS = ("m1", "m2", "forgotten", "harmonic", "ga1", "platt")
+
+
+def _index_rows(rec: GraphRecord) -> list[list]:
+    return [[rec.graph_key, rec.n, rec.m, rec.max_degree, rec.min_degree,
+             *(format_value(getattr(rec.indices, name)) for name in _INDEX_COLUMNS)]]
+
+
+#: CSV tables by report format: (header, rows of one record).  "csv" is the
+#: check table of ``verify``; "index_csv" the index table of ``compute --emit csv``.
+_CSV_TABLES = {
+    "csv": (("graph_key", "n", "m", "max_deg", "min_deg", "theorem_id",
+             "lhs", "rhs", "satisfied", "equality", "slack"), _check_rows),
+    "index_csv": (("graph_key", "n", "m", "max_deg", "min_deg", *_INDEX_COLUMNS), _index_rows),
+}
+
+
+def _spool(meta: ReportMeta, records: Iterable[GraphRecord], fmt: str,
+           body: TextIO) -> tuple[str, str, dict[str, Any]]:
+    """Write the records of a report to ``body``; return (head, tail, aggregates).
+
+    The report is head + body + tail.  ``records`` is consumed once, and each
+    record is dropped before the next is drawn: ``map`` holds an item only
+    for its call, and ``writelines``/``writerows`` only the text made from it.
+    """
+    tally = ReportTally()
+    counted = map(tally.add, records)
+    if fmt == "json":
+        items = map(_record_json, counted)
+        first = next(items, None)
+        if first is not None:
+            body.write("\n    " + first)
+            body.writelines(",\n    " + item for item in items)
+        aggregates = asdict(tally)
+        head = {
+            "aggregates": aggregates,
+            "meta": {
+                "timestamp": meta.timestamp,
+                "seed": meta.seed,
+                "spec": meta.spec,
+                "theorems": list(meta.theorems),
+            },
         }
-
-    @property
-    def violations(self) -> int:
-        return self.aggregates()["violations"]
-
-
-def _check_to_dict(check: BoundCheckResult) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "theorem_id": check.theorem_id,
-        "lhs": format_value(check.lhs),
-        "rhs": format_value(check.rhs),
-        "satisfied": check.satisfied,
-        "equality": check.equality,
-        "slack": format_value(check.slack),
-        "applicable": check.applicable,
-        "reason": check.reason,
-    }
-    if check.branches:
-        out["branches"] = [_check_to_dict(b) for b in check.branches]
-    return out
+        # the small head through json.dumps, its closing "\n}" reopened for "records"
+        head_text = json.dumps(head, indent=2, sort_keys=True)[:-2] + ',\n  "records": ['
+        return head_text, ("]" if first is None else "\n  ]") + "\n}\n", aggregates
+    if fmt not in _CSV_TABLES:
+        raise ValueError(f"unknown report format {fmt!r} (expected 'json', 'csv' or 'index_csv')")
+    header, rows = _CSV_TABLES[fmt]
+    csv.writer(body, lineterminator="\n").writerows(
+        itertools.chain.from_iterable(map(rows, counted))
+    )
+    return ",".join(header) + "\n", "", asdict(tally)
 
 
-def _indices_to_dict(iv: IndexVector | None) -> dict[str, str] | None:
-    if iv is None:
-        return None
-    return {name: format_value(value) for name, value in iv.as_dict().items()}
+def write_report(meta: ReportMeta, records: Iterable[GraphRecord], fmt: str,
+                 path: str) -> dict[str, Any]:
+    """Stream a report to ``path`` and return its aggregates.
+
+    ``fmt`` is "json", "csv" (the check table) or "index_csv" (the index
+    table).  The records go to an unnamed temporary file in the directory of
+    ``path`` as they arrive; ``path`` is opened only after the last one, to
+    write the head and copy the records in.  A run that fails part way thus
+    leaves ``path`` as it was.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    with tempfile.TemporaryFile("w+", encoding="ascii", newline="", dir=directory) as body:
+        head, tail, aggregates = _spool(meta, records, fmt, body)
+        body.seek(0)
+        with open(path, "w", encoding="ascii", newline="") as out:
+            out.write(head)
+            shutil.copyfileobj(body, out)
+            out.write(tail)
+    return aggregates
 
 
 def emit_report(report: RunReport, fmt: str) -> bytes:
-    """Serialize a report deterministically; ``fmt`` is "json" or "csv"."""
-    if fmt == "json":
-        doc = {
-            "meta": {
-                "timestamp": report.meta.timestamp,
-                "seed": report.meta.seed,
-                "spec": report.meta.spec,
-                "theorems": list(report.meta.theorems),
-            },
-            "records": [
-                {
-                    "graph_key": rec.graph_key,
-                    "graph6": rec.graph6,
-                    "n": rec.n,
-                    "m": rec.m,
-                    "max_deg": rec.max_degree,
-                    "min_deg": rec.min_degree,
-                    "indices": _indices_to_dict(rec.indices),
-                    "checks": [_check_to_dict(c) for c in rec.checks],
-                    "note": rec.note,
-                }
-                for rec in report.records
-            ],
-            "aggregates": report.aggregates(),
-        }
-        return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("ascii")
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["graph_key", "n", "m", "max_deg", "min_deg", "theorem_id",
-             "lhs", "rhs", "satisfied", "equality", "slack"]
-        )
-        for rec in report.records:
-            for check in rec.checks:
-                if check.applicable:
-                    satisfied = "true" if check.satisfied else "false"
-                    equality = "true" if check.equality else "false"
-                else:
-                    satisfied = "na"
-                    equality = ""
-                writer.writerow(
-                    [rec.graph_key, rec.n, rec.m, rec.max_degree, rec.min_degree,
-                     check.theorem_id, format_value(check.lhs), format_value(check.rhs),
-                     satisfied, equality, format_value(check.slack)]
-                )
-        return buf.getvalue().encode("ascii")
-    raise ValueError(f"unknown report format {fmt!r} (expected 'json' or 'csv')")
-
-
-def emit_index_csv(report: RunReport) -> bytes:
-    """The index table of ``compute --emit csv``: one row per graph, no checks."""
-    columns = ("m1", "m2", "forgotten", "harmonic", "ga1", "platt")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["graph_key", "n", "m", "max_deg", "min_deg", *columns])
-    for rec in report.records:
-        writer.writerow(
-            [rec.graph_key, rec.n, rec.m, rec.max_degree, rec.min_degree,
-             *(format_value(getattr(rec.indices, name)) for name in columns)]
-        )
-    return buf.getvalue().encode("ascii")
+    """The bytes :func:`write_report` writes for ``report``."""
+    body = io.StringIO()
+    head, tail, _ = _spool(report.meta, report.records, fmt, body)
+    return (head + body.getvalue() + tail).encode("ascii")

@@ -49,7 +49,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Iterable, Union
 
 from .graph_core import (
     DegreeStats,
@@ -366,8 +366,12 @@ def check_T10_lemma(inst: LemmaInstance) -> BoundCheckResult:
     """Evaluate the lemma with S and T summed over the distinct entries v,
     each with its count c_v: S = sum c_v/(v+k) and
     T = sum_{v<w} c_v c_w/(v+w+2k-4) + sum_v C(c_v, 2)/(2v+2k-4)."""
-    k, d_max = inst.k, inst.max_degree
-    counts = Counter(inst.xs).items()
+    return _lemma("T10", inst.k, inst.max_degree, inst.xs)
+
+
+def _lemma(theorem_id: str, k: int, d_max: int, xs: Iterable[int]) -> BoundCheckResult:
+    """:func:`check_T10_lemma` on a tuple known to be valid, named ``theorem_id``."""
+    counts = Counter(xs).items()
     s_sum = Fraction(*_ratio_sum([(c, v + k) for v, c in counts]))
     shift = 2 * k - 4
     t_terms = [(c * (c - 1) // 2, 2 * v + shift) for v, c in counts if c > 1]
@@ -386,20 +390,19 @@ def check_T10_lemma(inst: LemmaInstance) -> BoundCheckResult:
         _compare("T10.corollary_lower", s_sum, times_t(2, d_max - 1), "lower"),
         _compare("T10.corollary_upper", s_sum, times_t(d_max + 3, 4), "upper"),
     ]
-    return _combine("T10", parts)
+    return _combine(theorem_id, parts)
 
 
 @_check("T10")
 def check_T10_on_graph(g: Graph, st: DegreeStats) -> BoundCheckResult:
     """Instantiate the lemma at every vertex of degree >= 3 (k = d_u, xs = neighbor degrees)."""
-    hubs = [u for u in range(g.n) if g.degrees[u] >= 3]
-    if not hubs:
+    degrees = g.degrees
+    parts = [
+        _lemma(f"T10.vertex{u}", degrees[u], st.max_degree, (degrees[v] for v in g.adjacency[u]))
+        for u in range(g.n) if degrees[u] >= 3
+    ]
+    if not parts:
         return _not_applicable("T10", "no vertex of degree >= 3")
-    parts = []
-    for u in hubs:
-        xs = tuple(sorted(g.degrees[v] for v in g.adjacency[u]))
-        inst = LemmaInstance(k=g.degrees[u], max_degree=st.max_degree, xs=xs)
-        parts.append(replace(check_T10_lemma(inst), theorem_id=f"T10.vertex{u}"))
     return _combine("T10", parts)
 
 

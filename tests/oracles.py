@@ -4,12 +4,16 @@ Everything here is written against the definitions directly, sharing no
 algorithmic machinery with the package: canonical keys by trying every
 permutation, hyperbolicity by enumerating every geodesic triangle (all
 geodesic choices) on the subdivision lattice, distances by a fresh BFS,
-indices and the T10 sums by one term per edge or per pair.
+indices and the T10 sums by one term per edge or per pair, and reports by
+building the whole document and handing it to ``json.dumps`` or ``csv``.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
+import json
 import math
 from collections import deque
 from fractions import Fraction
@@ -17,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from topoline.graph_core import Graph
+from topoline.io_formats import RunReport, format_value
 
 
 def brute_canonical_key(g: Graph) -> str:
@@ -161,3 +166,74 @@ def delta_oracle(g: Graph, k: int = 4, geodesic_cap: int = 512) -> Fraction:
     # Sampled value certifies delta from below; the true value is the next
     # quarter-integer (sampling error is below the grid spacing).
     return Fraction(int(quarters) + 1, 4)
+
+
+def check_to_dict(check) -> dict:
+    """A check as the JSON report holds it, branches included."""
+    out = {
+        "theorem_id": check.theorem_id,
+        "lhs": format_value(check.lhs),
+        "rhs": format_value(check.rhs),
+        "satisfied": check.satisfied,
+        "equality": check.equality,
+        "slack": format_value(check.slack),
+        "applicable": check.applicable,
+        "reason": check.reason,
+    }
+    if check.branches:
+        out["branches"] = [check_to_dict(b) for b in check.branches]
+    return out
+
+
+def report_json_oracle(report: RunReport) -> bytes:
+    """The JSON report as one document through ``json.dumps(indent=2, sort_keys=True)``."""
+    doc = {
+        "meta": {
+            "timestamp": report.meta.timestamp,
+            "seed": report.meta.seed,
+            "spec": report.meta.spec,
+            "theorems": list(report.meta.theorems),
+        },
+        "records": [
+            {
+                "graph_key": rec.graph_key,
+                "graph6": rec.graph6,
+                "n": rec.n,
+                "m": rec.m,
+                "max_deg": rec.max_degree,
+                "min_deg": rec.min_degree,
+                "indices": None if rec.indices is None else {
+                    name: format_value(value) for name, value in rec.indices.as_dict().items()
+                },
+                "checks": [check_to_dict(c) for c in rec.checks],
+                "note": rec.note,
+            }
+            for rec in report.records
+        ],
+        "aggregates": report.aggregates(),
+    }
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("ascii")
+
+
+def report_csv_oracle(report: RunReport) -> bytes:
+    """The CSV check table, one ``csv.writer`` row per check."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(
+        ["graph_key", "n", "m", "max_deg", "min_deg", "theorem_id",
+         "lhs", "rhs", "satisfied", "equality", "slack"]
+    )
+    for rec in report.records:
+        for check in rec.checks:
+            if check.applicable:
+                satisfied = "true" if check.satisfied else "false"
+                equality = "true" if check.equality else "false"
+            else:
+                satisfied = "na"
+                equality = ""
+            writer.writerow(
+                [rec.graph_key, rec.n, rec.m, rec.max_degree, rec.min_degree,
+                 check.theorem_id, format_value(check.lhs), format_value(check.rhs),
+                 satisfied, equality, format_value(check.slack)]
+            )
+    return buf.getvalue().encode("ascii")

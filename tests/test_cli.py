@@ -230,6 +230,28 @@ class TestVerify:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["absent", "existing"])
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--theorems", "all", "--n-min", "2", "--n-max", "9"],
+        ["verify", "--theorems", "T42", "--n-min", "2", "--n-max", "4"],
+        ["verify", "--theorems", "", "--n-min", "2", "--n-max", "4"],
+        # fails on its second graph, an isolated vertex, after one record is spooled
+        ["compute", "--in", "{src}", "--format", "graph6", "--emit", "json"],
+    ], ids=["n-max-9", "T42", "no-theorems", "compute-mid-stream"])
+    def test_refused_run_leaves_out_untouched(self, tmp_path, capsys, argv, existing):
+        src = tmp_path / "in.g6"
+        src.write_text(emit_graph6(cycle_graph(4)) + "\n" + emit_graph6(Graph(3, ((0, 1),))) + "\n")
+        out = tmp_path / "report.json"
+        if existing:
+            out.write_bytes(b"an earlier report\n")
+        before = sorted(tmp_path.iterdir())
+        code = main([arg.format(src=src) for arg in argv] + ["--out", str(out)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+        if existing:
+            assert out.read_bytes() == b"an earlier report\n"
+
     def test_repeated_theorem_ids_run_once(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = main(["verify", "--theorems", "T3,T1,T3,T1", "--n-min", "3", "--n-max", "3",

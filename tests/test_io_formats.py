@@ -1,4 +1,5 @@
 import json
+import weakref
 from fractions import Fraction
 
 import networkx as nx
@@ -7,14 +8,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import graphs
+from oracles import report_csv_oracle, report_json_oracle
 from topoline.graph_core import (
     Graph,
     canonical_form,
     complete_graph,
     cycle_graph,
     path_graph,
+    star_graph,
 )
-from topoline.harness import EnumerationSpec, run_verification, sample_gnp
+from topoline.harness import (
+    EnumerationSpec,
+    graph_record,
+    run_verification,
+    sample_gnp,
+    verify_records,
+)
+from topoline.indices import compute_index_vector
 from topoline.io_formats import (
     MAX_EDGE_LIST_VERTICES,
     EdgeListError,
@@ -29,7 +39,9 @@ from topoline.io_formats import (
     parse_edge_list_counting,
     parse_graph6,
     parse_graph6_file,
+    write_report,
 )
+from topoline.theorems import GRAPH_CHECKS, BoundCheckResult
 
 
 @st.composite
@@ -268,6 +280,98 @@ class TestReports:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="unknown report format"):
             emit_report(RunReport(meta=ReportMeta(), records=()), "xml")
+
+
+def _record(g, theorems=(), **fields):
+    try:
+        iv, note = compute_index_vector(g), ""
+    except ValueError as exc:  # an isolated vertex
+        iv, note = None, str(exc)
+    return graph_record(g, iv, (GRAPH_CHECKS[t](g) for t in theorems), note, **fields)
+
+
+def _escaping_report() -> RunReport:
+    awkward = 'quote " backslash \\ newline \n tab \t control \x01 delta \u03b4 line sep \u2028'
+    nested = BoundCheckResult(
+        "X.outer", Fraction(1, 3), 0.5, True, False, Fraction(1, 6), reason=awkward,
+        branches=(
+            BoundCheckResult("X.inner", None, None, True, False, None, applicable=False,
+                             reason="na", branches=(
+                                 BoundCheckResult("X.leaf", 2, 2, True, True, 0),)),
+            BoundCheckResult("X.float", 1e-12, float("inf"), True, False, 1e300),
+        ),
+    )
+    rec = graph_record(cycle_graph(4), None, (nested,), note=awkward, key='key, with "quotes"')
+    meta = ReportMeta(timestamp=awkward, seed=7, spec={"z": [1, None], "a": {"b": "\u00e9"}},
+                      theorems=("T1", "T10"))
+    return RunReport(meta=meta, records=(rec,))
+
+
+HUBS = (star_graph(5), complete_graph(5), Graph(6, ((0, 1), (1, 2), (1, 3), (1, 4), (4, 5))))
+
+#: reports the writer must serialize exactly as the whole-document oracles do
+ORACLE_CASES = {
+    "n<=6": lambda: run_verification(EnumerationSpec(1, 6)),
+    "empty": lambda: RunReport(meta=ReportMeta(), records=()),
+    "isolated vertex": lambda: RunReport(
+        meta=ReportMeta(theorems=("T1", "T9")),
+        records=(_record(Graph(3, ((0, 1),)), ("T1", "T9")),),
+    ),
+    "compute past graph6": lambda: RunReport(
+        meta=ReportMeta(), records=(_record(path_graph(70)),)
+    ),
+    "nested branches": lambda: RunReport(
+        meta=ReportMeta(seed=3, theorems=("T9", "T10")),
+        records=tuple(_record(g, ("T9", "T10")) for g in HUBS),
+    ),
+    "escaping": _escaping_report,
+}
+
+
+class TestStreamingWriter:
+    """The streaming writer against the whole-document oracles, and its contract."""
+
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_matches_oracles(self, case, tmp_path):
+        report = ORACLE_CASES[case]()
+        expected = {"json": report_json_oracle(report), "csv": report_csv_oracle(report)}
+        for fmt, payload in expected.items():
+            assert emit_report(report, fmt) == payload, fmt
+            out = tmp_path / f"report.{fmt}"
+            assert write_report(report.meta, iter(report.records), fmt, str(out)) == \
+                report.aggregates()
+            assert out.read_bytes() == payload, fmt
+
+    def test_escapes_like_json_dumps(self):
+        doc = json.loads(emit_report(_escaping_report(), "json"))
+        (check,) = doc["records"][0]["checks"]
+        assert check["reason"] == doc["records"][0]["note"] == doc["meta"]["timestamp"]
+        assert "\u03b4" in check["reason"]
+        assert check["branches"][0]["branches"][0]["equality"] is True
+
+    def test_each_record_released_before_the_next_is_drawn(self, tmp_path):
+        held = []
+
+        def watched(records):
+            for rec in records:
+                ref = weakref.ref(rec)
+                yield rec
+                del rec  # the writer now asks for the next record
+                held.append(ref() is not None)
+
+        spec = EnumerationSpec(3, 5, connected_only=True)  # every record has indices
+        for fmt in ("json", "csv", "index_csv"):
+            records = verify_records(spec, ("T1", "T9", "T10"))
+            write_report(ReportMeta(), watched(records), fmt, str(tmp_path / "report"))
+        assert held == [False] * 3 * 29
+
+    def test_unknown_format_rejected_before_any_record(self, tmp_path):
+        drawn = []
+        records = (drawn.append(r) or r for r in verify_records(EnumerationSpec(3, 3)))
+        out = tmp_path / "report.xml"
+        with pytest.raises(ValueError, match="unknown report format"):
+            write_report(ReportMeta(), records, "xml", str(out))
+        assert drawn == [] and list(tmp_path.iterdir()) == []
 
 
 class TestSampleGnpDeterminism:

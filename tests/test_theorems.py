@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import connected_graphs, nontrivial_graphs
-from oracles import t10_sums_oracle
+from oracles import check_to_dict, t10_sums_oracle
 from topoline.graph_core import (
     Graph,
     complete_graph,
@@ -15,7 +16,6 @@ from topoline.graph_core import (
     path_graph,
     star_graph,
 )
-from topoline.io_formats import _check_to_dict
 from topoline.theorems import (
     GRAPH_CHECKS,
     LemmaInstance,
@@ -246,6 +246,17 @@ class TestT10:
         assert r.satisfied and len(r.branches) == 1
         assert check_T10_on_graph(cycle_graph(5)).applicable is False
 
+    @given(connected_graphs())
+    def test_graph_branch_is_the_lemma_at_its_hub(self, g):
+        r = check_T10_on_graph(g)
+        hubs = [u for u in range(g.n) if g.degrees[u] >= 3]
+        assert len(r.branches) == len(hubs) if hubs else not r.applicable
+        d_max = max(g.degrees)
+        for u, got in zip(hubs, r.branches):
+            xs = tuple(sorted(g.degrees[v] for v in g.adjacency[u]))
+            lemma = check_T10_lemma(LemmaInstance(g.degrees[u], d_max, xs))
+            assert check_to_dict(got) == check_to_dict(replace(lemma, theorem_id=f"T10.vertex{u}"))
+
 
 @st.composite
 def lemma_instances(draw):
@@ -269,7 +280,7 @@ class TestT10AgainstPairSumOracle:
             _compare("T10.corollary_lower", s_sum, Fraction(2, d_max - 1) * t_sum, "lower"),
             _compare("T10.corollary_upper", s_sum, Fraction(d_max + 3, 4) * t_sum, "upper"),
         ])
-        assert _check_to_dict(check_T10_lemma(inst)) == _check_to_dict(expected)
+        assert check_to_dict(check_T10_lemma(inst)) == check_to_dict(expected)
 
 
 class TestT11:
