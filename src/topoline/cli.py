@@ -41,7 +41,7 @@ VIOLATIONS_FOUND = 1
 def _cmd_compute(args) -> int:
     graphs = read_graph_file(args.infile, args.format)
     if args.line_graph:
-        graphs = [line_graph(g).line_graph for g in graphs]
+        graphs = (line_graph(g).line_graph for g in graphs)
     records = (graph_record(g, compute_index_vector(g)) for g in graphs)
     write_report(ReportMeta(), records, "index_csv" if args.emit == "csv" else "json", args.out)
     return 0
@@ -75,7 +75,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_hyperbolicity(args) -> int:
-    graphs = read_graph_file(args.infile, args.format)
+    graphs = list(read_graph_file(args.infile, args.format))  # a parse error prints nothing
     for g in graphs:
         label = graph_label(g)
         try:

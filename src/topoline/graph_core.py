@@ -313,6 +313,16 @@ def canonical_form(g: Graph, cap: int = CANONICAL_CAP) -> str:
     return g._canonical_key
 
 
+def with_canonical_key(g: Graph, key: str) -> Graph:
+    """``g``, its canonical key set to ``key`` without a search.
+
+    ``key`` must be the canonical form of a graph equal to ``g``, such as the
+    one ``g`` was decoded from again.
+    """
+    object.__setattr__(g, "_canonical_key", key)  # where the cached property keeps it
+    return g
+
+
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:
     """Exact isomorphism test by canonical-form comparison.
 

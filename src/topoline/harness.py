@@ -21,6 +21,7 @@ from .graph_core import (
     canonical_form,
     degree_stats,
     is_connected,
+    with_canonical_key,
 )
 from .hyperbolicity import hyperbolicity_constant
 from .indices import IndexVector, IsolatedVertexError, compute_index_vector
@@ -29,6 +30,7 @@ from .io_formats import (
     ReportMeta,
     RunReport,
     emit_graph6,
+    parse_graph6,
     read_graph_file,
 )
 from .theorems import GRAPH_CHECKS, THEOREM_IDS, BoundCheckResult, _tolerance
@@ -133,15 +135,34 @@ def graph_record(g: Graph, indices: IndexVector | None, checks: Iterable[BoundCh
     )
 
 
+def _first_texts(spec: EnumerationSpec) -> dict[tuple[int, str], str]:
+    """(n, key) -> graph6 text of the first graph of ``spec.source`` with that
+    order and key, over the orders in range; one pass, one line at a time."""
+    texts: dict[tuple[int, str], str] = {}
+    for g in read_graph_file(spec.source, "graph6"):
+        if spec.n_min <= g.n <= spec.n_max:
+            key = _graph_key(g)
+            if (g.n, key) not in texts:
+                # beyond the canonical-form cap the key is the graph6 text itself
+                texts[g.n, key] = emit_graph6(g) if g.n <= CANONICAL_CAP else key
+    return texts
+
+
+def _source_graphs(spec: EnumerationSpec) -> Iterator[Graph]:
+    """The graphs of :func:`_first_texts` in (n, key) order, each parsed when
+    its turn comes and carrying its key, so none outlives its own record."""
+    texts = _first_texts(spec)
+    for n, key in sorted(texts):
+        g = parse_graph6(texts.pop((n, key)))
+        yield with_canonical_key(g, key) if n <= CANONICAL_CAP else g
+
+
 def enumerate_graphs(spec: EnumerationSpec) -> Iterator[Graph]:
     """One representative per isomorphism class, in (n, key) order (see `_graph_key`)."""
     if spec.n_min > spec.n_max:
         return
     if spec.source is not None:
-        pool = _first_per_key(
-            (g for g in read_graph_file(spec.source, "graph6") if spec.n_min <= g.n <= spec.n_max),
-            lambda g: (g.n, _graph_key(g)),
-        )
+        pool = _source_graphs(spec)
     else:
         if spec.n_max > ENUMERATION_CAP:
             raise EnumerationCapError(

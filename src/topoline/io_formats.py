@@ -23,7 +23,7 @@ import shutil
 import tempfile
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Any, Iterable, TextIO
+from typing import Any, Iterable, Iterator, TextIO
 
 from .graph_core import Graph, build_graph
 from .indices import IndexVector
@@ -116,18 +116,21 @@ def emit_graph6(g: Graph) -> str:
     return "".join(out)
 
 
-def parse_graph6_file(text: str) -> list[Graph]:
-    """One graph6 string per non-empty line; errors name the 1-based line."""
-    graphs = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+def _graph6_lines(lines: Iterable[str]) -> Iterator[Graph]:
+    """One graph per non-blank line of ``lines``; errors name the 1-based line."""
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
         try:
-            graphs.append(parse_graph6(line))
+            yield parse_graph6(line)
         except Graph6Error as exc:
             raise Graph6Error(exc.reason, exc.offset, lineno) from None
-    return graphs
+
+
+def parse_graph6_file(text: str) -> list[Graph]:
+    """One graph6 string per non-empty line; errors name the 1-based line."""
+    return list(_graph6_lines(text.split("\n")))
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -138,18 +141,27 @@ def parse_edge_list(text: str) -> Graph:
     edge "u v" (0-indexed); blank lines and '#' comments are ignored.
     Duplicate edges collapse with a logged warning.
     """
-    g, duplicates = parse_edge_list_counting(text)
+    return _edge_list(text.split("\n"))
+
+
+def parse_edge_list_counting(text: str) -> tuple[Graph, int]:
+    return _edge_list_counting(text.split("\n"))
+
+
+def _edge_list(lines: Iterable[str]) -> Graph:
+    g, duplicates = _edge_list_counting(lines)
     if duplicates:
         logger.warning("edge list contained %d duplicate edge(s)", duplicates)
     return g
 
 
-def parse_edge_list_counting(text: str) -> tuple[Graph, int]:
+def _edge_list_counting(lines: Iterable[str]) -> tuple[Graph, int]:
+    """The graph of an edge list given as its lines, and its duplicate-edge count."""
     n: int | None = None
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     duplicates = 0
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -189,26 +201,36 @@ def parse_edge_list_counting(text: str) -> tuple[Graph, int]:
     return build_graph(n, edges), duplicates
 
 
-def read_graph_file(path: str, fmt: str) -> list[Graph]:
+def _ascii_lines(fh: TextIO, fmt: str) -> Iterator[str]:
+    """The lines of ``fh``, refusing the first non-ASCII byte by its line (and
+    for graph6 by its byte offset within the line)."""
+    for lineno, line in enumerate(fh, start=1):
+        if not line.isascii():
+            pos = next(i for i, ch in enumerate(line) if not ch.isascii())
+            # surrogateescape maps byte b >= 0x80 to the code point 0xDC00 + b
+            reason = f"non-ASCII byte 0x{ord(line[pos]) - 0xDC00:02x}"
+            if fmt == "graph6":
+                raise Graph6Error(reason, pos, lineno)
+            raise EdgeListError(reason, lineno)
+        yield line
+
+
+def read_graph_file(path: str, fmt: str) -> Iterator[Graph]:
     """The graphs of a graph6 file (one per line) or of an edge-list file (one).
 
-    Lines are physical lines: text mode folds "\r\n" and "\r" into "\n", and
-    only "\n" separates lines.  A non-ASCII byte is reported like any other
-    parse error, by its line (and for graph6 its byte offset within the line).
+    The file is read one line at a time, and each graph6 graph is yielded as
+    soon as its line is parsed, so an error on a later line surfaces only when
+    that line is reached.  Lines are physical lines: text mode folds "\r\n"
+    and "\r" into "\n", and only "\n" separates lines.  A non-ASCII byte is
+    reported like any other parse error, by its line (and for graph6 its byte
+    offset within the line).
     """
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        text = fh.read()
-    if not text.isascii():
-        pos = next(i for i, ch in enumerate(text) if not ch.isascii())
-        line = text.count("\n", 0, pos) + 1
-        # surrogateescape maps byte b >= 0x80 to the code point 0xDC00 + b
-        reason = f"non-ASCII byte 0x{ord(text[pos]) - 0xDC00:02x}"
+        lines = _ascii_lines(fh, fmt)
         if fmt == "graph6":
-            raise Graph6Error(reason, pos - text.rfind("\n", 0, pos) - 1, line)
-        raise EdgeListError(reason, line)
-    if fmt == "graph6":
-        return parse_graph6_file(text)
-    return [parse_edge_list(text)]
+            yield from _graph6_lines(lines)
+        else:
+            yield _edge_list(lines)
 
 
 def emit_edge_list(g: Graph) -> str:

@@ -32,7 +32,8 @@ class LineGraphResult:
         return degree_stats(self.line_graph)
 
 
-@functools.lru_cache(maxsize=None)
+# One entry: a run checks one graph at a time, and an older L(G) is garbage.
+@functools.lru_cache(maxsize=1)
 def line_graph(g: Graph) -> LineGraphResult:
     """Construct L(g): one vertex per edge, adjacent iff the edges share an endpoint."""
     for comp in classify_components(g).components:

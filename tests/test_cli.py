@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,14 @@ import pytest
 
 import topoline
 from topoline.cli import main
-from topoline.graph_core import Graph, complete_graph, cycle_graph, path_graph, star_graph
+from topoline.graph_core import (
+    Graph,
+    complete_graph,
+    cycle_graph,
+    is_connected,
+    path_graph,
+    star_graph,
+)
 from topoline.io_formats import emit_edge_list, emit_graph6
 
 
@@ -105,6 +113,19 @@ class TestCompute:
                      "--out", str(tmp_path / "out.json")])
         assert code == 2
         assert "line 3: non-ASCII byte 0xe9" in capsys.readouterr().err
+
+    def test_parse_error_mid_file_leaves_out_untouched(self, tmp_path, capsys):
+        # compute reads its input as it writes: two records are spooled first
+        src = tmp_path / "bad.g6"
+        src.write_text("Bw\nBg\nC!x\nBw\n")
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"an earlier report\n")
+        code = main(["compute", "--in", str(src), "--format", "graph6", "--line-graph",
+                     "--out", str(out), "--emit", "csv"])
+        assert code == 2
+        assert "line 3: trailing garbage after payload (byte offset 2)" in capsys.readouterr().err
+        assert out.read_bytes() == b"an earlier report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.g6", "out.csv"]
 
     @pytest.mark.parametrize("command", [
         ["compute", "--emit", "json", "--out", "{out}"],
@@ -297,12 +318,64 @@ def test_numpy_loaded_only_for_delta():
     assert result.returncode == 0, result.stderr
 
 
+def _distinct_connected_graph6(count: int, seed: int) -> list[str]:
+    """``count`` distinct connected G(n, 4/(n-1)) graphs, n in 11..16: past the
+    canonical-form cap, so each is keyed by its graph6 string."""
+    rng = random.Random(seed)
+    lines: dict[str, None] = {}
+    while len(lines) < count:
+        n = rng.randint(11, 16)
+        g = Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)
+                           if rng.random() < 4 / (n - 1)))
+        if is_connected(g):
+            lines[emit_graph6(g)] = None
+    return list(lines)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_verify_source_peak_memory_flat_in_graph_count(tmp_path):
+    # T3 and T7 build L(G) and its index vector for every graph.  VmHWM is the
+    # child's own peak; ru_maxrss of a child would include the forking parent.
+    probe = (
+        "import sys\n"
+        "from topoline.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "status = open('/proc/self/status').read()\n"
+        "print(next(l.split()[1] for l in status.splitlines() if l.startswith('VmHWM:')))\n"
+    )
+    paths = [str(Path(topoline.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    lines = _distinct_connected_graph6(4000, seed=7)
+    peaks_kb = []
+    for count in (1000, 4000):
+        src = tmp_path / f"g{count}.g6"
+        src.write_text("".join(line + "\n" for line in lines[:count]))
+        argv = ["verify", "--theorems", "T3,T7", "--source", str(src), "--n-min", "1",
+                "--n-max", "62", "--no-timestamp", "--out", str(tmp_path / "r.csv")]
+        result = subprocess.run([sys.executable, "-c", probe, *argv],
+                                capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        assert f"checked {count} graphs" in result.stdout
+        peaks_kb.append(int(result.stdout.split()[-1]))
+    # 3000 more graphs; holding each one's line graph and index vectors
+    # would cost about 50 MB
+    assert peaks_kb[1] - peaks_kb[0] < 4096, peaks_kb
+
+
 class TestHyperbolicity:
     def test_exact_value(self, tmp_path, capsys):
         src = tmp_path / "c4.g6"
         src.write_text(emit_graph6(cycle_graph(4)) + "\n")
         assert main(["hyperbolicity", "--in", str(src), "--format", "graph6"]) == 0
         assert "delta=1/1" in capsys.readouterr().out
+
+    def test_parse_error_prints_no_delta(self, tmp_path, capsys):
+        src = tmp_path / "bad.g6"
+        src.write_text(emit_graph6(cycle_graph(4)) + "\n" + emit_graph6(cycle_graph(5)) + "\nC!x\n")
+        assert main(["hyperbolicity", "--in", str(src), "--format", "graph6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 3: trailing garbage" in captured.err
 
     def test_cap_fallback(self, tmp_path, capsys):
         src = tmp_path / "p9.txt"

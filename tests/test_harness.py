@@ -1,4 +1,6 @@
 import hashlib
+import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -20,8 +22,11 @@ from topoline.harness import (
     extremal_search,
     run_verification,
     sample_gnp,
+    verify_records,
 )
-from topoline.io_formats import emit_graph6, emit_report
+from topoline.indices import compute_index_vector
+from topoline.io_formats import ReportMeta, emit_graph6, emit_report, write_report
+from topoline.line_graph import line_graph
 
 
 class TestEnumeration:
@@ -155,6 +160,83 @@ class TestRunVerification:
         a = emit_report(run_verification(spec, ("T1", "T3", "T9")), "json")
         b = emit_report(run_verification(spec, ("T1", "T3", "T9")), "json")
         assert a == b
+
+
+class TestPerRecordLifetime:
+    """A run holds one record's graph, line graph and index vectors at a time."""
+
+    # C4, S4, K3,4, C3 + P4, P12, K12 (L(K12) has 66 vertices), S4 again, and
+    # three more; the duplicate is dropped, so 8 records.
+    SOURCE = "Cl\nCs\nFFzf?\nFwCGG\nKhCGGC@?G?_@\nK~~~~~~~~~~~\nCs\nDQo\nGhdGKC\n"
+
+    @staticmethod
+    def _mixed_source(tmp_path, copies=1, seed=None):
+        """Graphs with n <= 10 (keyed by canonical form) and n > 10 (by graph6),
+        each line repeated ``copies`` times; sorted, or shuffled by ``seed``."""
+        lines = [emit_graph6(g) for g in enumerate_graphs(EnumerationSpec(3, 5, connected_only=True))]
+        lines += [emit_graph6(sample_gnp(n, Fraction(1, 3), n)) for n in range(11, 15)]
+        lines = sorted(lines * copies)
+        if seed is not None:
+            random.Random(seed).shuffle(lines)
+        path = tmp_path / f"mixed{copies}.g6"
+        path.write_text("".join(line + "\n" for line in lines))
+        return str(path)
+
+    def test_cache_bounds_after_a_run(self):
+        run_verification(EnumerationSpec(1, 6))
+        assert line_graph.cache_info().currsize <= 1
+        assert compute_index_vector.cache_info().currsize <= 2
+
+    @pytest.mark.parametrize("theorems,line_counts,index_counts", [
+        (None, (51, 8), (115, 16)),
+        (("T1",), (0, 0), (8, 8)),
+        (("T3", "T7"), (8, 8), (16, 16)),
+    ])
+    def test_cache_counts_pinned(self, tmp_path, theorems, line_counts, index_counts):
+        # (hits, misses) as the unbounded caches counted them: every reuse
+        # of a line graph or an index vector happens within its own record
+        path = tmp_path / "fixture.g6"
+        path.write_text(self.SOURCE)
+        line_graph.cache_clear()
+        compute_index_vector.cache_clear()
+        records = list(verify_records(EnumerationSpec(1, 62, source=str(path)), theorems))
+        assert len(records) == 8
+        lg, iv = line_graph.cache_info(), compute_index_vector.cache_info()
+        assert ((lg.hits, lg.misses), (iv.hits, iv.misses)) == (line_counts, index_counts)
+
+    @pytest.mark.parametrize("theorems", [("T1",), ("T3", "T7"), ("T1", "T2", "T9", "T11")])
+    def test_earlier_graphs_released_as_the_source_drains(self, tmp_path, monkeypatch, theorems):
+        import topoline.io_formats as io_formats
+
+        built = []
+        alive_at_draw = []
+        build = io_formats.build_graph
+
+        def tracked(n, edges):
+            alive_at_draw.append(sum(ref() is not None for ref in built))
+            g = build(n, edges)
+            built.append(weakref.ref(g))
+            return g
+
+        monkeypatch.setattr(io_formats, "build_graph", tracked)
+        path = self._mixed_source(tmp_path, copies=2)
+        records = verify_records(EnumerationSpec(1, 62, source=path), theorems)
+        assert sum(1 for _ in records) == 33
+        # 66 lines read, then each of the 33 kept graphs decoded again
+        assert len(built) == 99
+        # the compute_index_vector cache (two entries) is the most that may hold
+        # an earlier graph; the first pass keeps only text
+        assert max(alive_at_draw) <= 2
+
+    def test_duplicated_shuffled_source_gives_the_same_report(self, tmp_path):
+        reports = []
+        for path in (self._mixed_source(tmp_path), self._mixed_source(tmp_path, 3, seed=5)):
+            out = tmp_path / "report.csv"
+            records = verify_records(EnumerationSpec(1, 62, source=path))
+            write_report(ReportMeta(), records, "csv", str(out))
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert reports[0].count(b"\n") == 1 + 33 * 11
 
 
 class TestExtremalSearch:

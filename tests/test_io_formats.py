@@ -39,6 +39,7 @@ from topoline.io_formats import (
     parse_edge_list_counting,
     parse_graph6,
     parse_graph6_file,
+    read_graph_file,
     write_report,
 )
 from topoline.theorems import GRAPH_CHECKS, BoundCheckResult
@@ -226,6 +227,39 @@ class TestEdgeList:
     def test_round_trip_preserves_canonical_form(self, g):
         back = parse_edge_list(emit_edge_list(g))
         assert canonical_form(back) == canonical_form(g)
+
+
+class TestReadGraphFile:
+    def test_graphs_come_as_their_lines_are_read(self, tmp_path):
+        path = tmp_path / "in.g6"
+        path.write_text("Bw\n\nBg\nC!x\n")
+        graphs = read_graph_file(str(path), "graph6")
+        assert next(graphs) == complete_graph(3)
+        assert next(graphs) == path_graph(3)  # before line 4 is parsed
+        with pytest.raises(Graph6Error, match="line 4: trailing garbage"):
+            next(graphs)
+
+    @pytest.mark.parametrize("fmt,data,message", [
+        ("graph6", b"Bw\n\xff\n", "line 2: non-ASCII byte 0xff (byte offset 0)"),
+        ("graph6", b"Bw\r\nBg\r\nB\xe9\n", "line 3: non-ASCII byte 0xe9 (byte offset 1)"),
+        ("graph6", b"Bw\rBg\rBgx", "line 3: trailing garbage after payload (byte offset 2)"),
+        ("graph6", b"Bw\x0cBg\n", "line 1: trailing garbage after payload (byte offset 2)"),
+        ("edgelist", b"3\r\n0 1\r\n1 \xe9\n", "line 3: non-ASCII byte 0xe9"),
+        ("edgelist", b"3\n0 1\n\n1 1\n", "line 4: loop edge 1 1 is not allowed"),
+        ("edgelist", b"# empty\n", "line 1: missing vertex count line"),
+    ])
+    def test_errors_name_line_and_byte(self, tmp_path, fmt, data, message):
+        path = tmp_path / "in.txt"
+        path.write_bytes(data)
+        with pytest.raises((Graph6Error, EdgeListError)) as excinfo:
+            list(read_graph_file(str(path), fmt))
+        assert str(excinfo.value) == message
+
+    def test_edge_list_file(self, tmp_path, caplog):
+        path = tmp_path / "in.txt"
+        path.write_text("# a path\r\n4\n0 1\n1 2\n2 1\n2 3")
+        assert list(read_graph_file(str(path), "edgelist")) == [path_graph(4)]
+        assert "1 duplicate edge" in caplog.text
 
 
 class TestFormatValue:
