@@ -33,8 +33,9 @@ from .harness import (
     enumerate_graphs,
     enumerate_trees,
     extremal_search,
-    run_verification,
     sample_gnp,
+    verification_meta,
+    verify_records,
 )
 from .hyperbolicity import (
     GeodesicTriangle,
@@ -49,26 +50,21 @@ from .hyperbolicity import (
 from .indices import (
     IndexVector,
     IsolatedVertexError,
-    all_edges_degree_equal,
     compute_index_vector,
-    evaluate_vdb_index,
-    harmonic_of_path,
 )
 from .io_formats import (
     EdgeListError,
     Graph6Error,
     GraphRecord,
     ReportMeta,
-    RunReport,
     emit_edge_list,
     emit_graph6,
-    emit_report,
     parse_edge_list,
     parse_graph6,
-    parse_graph6_file,
     read_graph_file,
+    write_report,
 )
-from .line_graph import LineGraphResult, TrivialComponentError, line_edge_count, line_graph
+from .line_graph import LineGraphResult, TrivialComponentError, line_graph
 from .theorems import (
     GRAPH_CHECKS,
     THEOREM_IDS,

@@ -20,7 +20,12 @@ from .harness import (
     verification_meta,
     verify_records,
 )
-from .hyperbolicity import HyperbolicityCapError, hyperbolicity_constant, hyperbolicity_upper_bound
+from .hyperbolicity import (
+    DEFAULT_VERTEX_CAP,
+    HyperbolicityCapError,
+    hyperbolicity_constant,
+    hyperbolicity_upper_bound,
+)
 from .indices import IsolatedVertexError, compute_index_vector
 from .io_formats import (
     EdgeListError,
@@ -140,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hyperbolicity", help="exact hyperbolicity constant of graphs in a file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--format", choices=("graph6", "edgelist"), required=True)
-    p.add_argument("--cap", type=int, default=8, help="vertex cap for exact computation")
+    p.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP,
+                   help="vertex cap for exact computation")
     p.set_defaults(func=_cmd_hyperbolicity)
 
     p = sub.add_parser("extremal", help="graphs attaining an extremal index value")

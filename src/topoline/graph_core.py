@@ -161,7 +161,6 @@ class DegreeStats:
     max_degree: int
     min_degree: int
     is_non_trivial: bool
-    degenerate: bool = False  # True only for the empty graph (n == 0)
 
 
 @dataclass(frozen=True)
@@ -178,9 +177,6 @@ class ComponentInfo:
     edge_count: int
     regular: bool
     biregular: bool
-    degree_pair: tuple[int, int] | None
-    path: bool
-    cycle: bool
     tree: bool
 
 
@@ -218,16 +214,12 @@ def _decompose(g: Graph) -> tuple[ComponentInfo, ...]:
         degset = {degs[v] for v in comp}
         # With exactly two degrees, every edge joins them iff no edge joins equal ones.
         biregular = len(degset) == 2 and all(degs[w] != degs[u] for u in comp for w in adj[u])
-        tree = mc == nc - 1
         infos.append(ComponentInfo(
             vertices=tuple(comp),
             edge_count=mc,
             regular=len(degset) == 1,
             biregular=biregular,
-            degree_pair=tuple(sorted(degset, reverse=True)) if biregular else None,
-            path=tree and max(degset) <= 2,
-            cycle=nc >= 3 and degset == {2} and mc == nc,
-            tree=tree,
+            tree=mc == nc - 1,
         ))
     return tuple(infos)
 
@@ -247,7 +239,7 @@ def is_forest(g: Graph) -> bool:
 
 def degree_stats(g: Graph) -> DegreeStats:
     if g.n == 0:
-        return DegreeStats(0, 0, 0, 0, True, degenerate=True)
+        return DegreeStats(0, 0, 0, 0, True)
     non_trivial = all(c.edge_count >= 2 for c in g._components)
     return DegreeStats(g.n, g.m, max(g.degrees), min(g.degrees), non_trivial)
 

@@ -28,7 +28,6 @@ from .indices import IndexVector, IsolatedVertexError, compute_index_vector
 from .io_formats import (
     GraphRecord,
     ReportMeta,
-    RunReport,
     emit_graph6,
     parse_graph6,
     read_graph_file,
@@ -247,18 +246,6 @@ def verify_records(spec: EnumerationSpec, theorems=None) -> Iterator[GraphRecord
             g, iv, (GRAPH_CHECKS[tid](g) for tid in ids), note,
             key=canonical_form(g) if g.n <= CANONICAL_CAP else None,
         )
-
-
-def run_verification(
-    spec: EnumerationSpec,
-    theorems=None,
-    *,
-    seed: int | None = None,
-    timestamp: str | None = None,
-) -> RunReport:
-    """The whole report of a run in memory: :func:`verify_records`, collected."""
-    meta = verification_meta(spec, theorems, seed=seed, timestamp=timestamp)
-    return RunReport(meta=meta, records=tuple(verify_records(spec, meta.theorems)))
 
 
 #: index name -> callable(Graph) -> Fraction | float

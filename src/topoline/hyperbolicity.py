@@ -90,12 +90,6 @@ class SubdividedLattice:
     points: tuple[MetricPoint, ...]
     hops: np.ndarray
 
-    def distance(self, i: int, j: int) -> Fraction | float:
-        h = int(self.hops[i, j])
-        if h < 0:
-            return math.inf
-        return Fraction(h, self.granularity)
-
 
 def subdivided_distances(g: Graph, granularity: int) -> SubdividedLattice:
     """Split each edge into ``granularity`` segments and measure all lattice pairs."""

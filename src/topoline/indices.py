@@ -16,11 +16,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
 
 from .graph_core import Graph
-
-Weight = Union[Fraction, float, int]
 
 
 class IsolatedVertexError(ValueError):
@@ -77,26 +74,6 @@ class IndexVector:
         }
 
 
-def evaluate_vdb_index(
-    g: Graph, f: Callable[[int, int], Weight]
-) -> Fraction | float:
-    """Evaluate the edge-sum index sum_{uv in E} f(d_u, d_v).
-
-    ``f`` must be symmetric; symmetry is checked on all degree pairs up to the
-    maximum degree before summing.
-    """
-    _require_no_isolated(g)
-    if g.m == 0:
-        return Fraction(0)
-    dmax = max(g.degrees)
-    for a in range(1, dmax + 1):
-        for b in range(a + 1, dmax + 1):
-            if f(a, b) != f(b, a):
-                raise ValueError(f"weight function is not symmetric at ({a}, {b})")
-    degs = g.degrees
-    return sum(f(degs[u], degs[v]) for u, v in g.edges)
-
-
 def _ratio_sum(terms: list[tuple[int, int]]) -> tuple[int, int]:
     """Numerator and denominator of sum(w / d) over ``(w, d)`` terms with d >= 1:
     integer numerators over lcm(d), not reduced; (0, 1) for no terms."""
@@ -150,23 +127,3 @@ def compute_index_vector(g: Graph) -> IndexVector:
         platt=Fraction(platt),
         ga1_exact=ga1_exact,
     )
-
-
-def all_edges_degree_equal(g: Graph) -> bool:
-    """Symbolic criterion for GA1 = m: every edge joins equal-degree endpoints."""
-    degs = g.degrees
-    return all(degs[u] == degs[v] for u, v in g.edges)
-
-
-def harmonic_of_path(n: int) -> Fraction:
-    """Closed form for the harmonic index of the path on ``n`` vertices.
-
-    Equals 1 for n = 2 and (3n - 1)/6 for n >= 3; cross-checked against the
-    direct edge sum in the test suite.
-    """
-    if n < 2:
-        raise ValueError(f"path harmonic formula needs n >= 2, got {n}")
-    if n == 2:
-        return Fraction(1)
-    return Fraction(3 * n - 1, 6)
-

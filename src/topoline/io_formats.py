@@ -14,7 +14,7 @@ takes each record once and keeps none (see :func:`write_report`).
 from __future__ import annotations
 
 import csv
-import io
+import errno
 import itertools
 import json
 import logging
@@ -128,11 +128,6 @@ def _graph6_lines(lines: Iterable[str]) -> Iterator[Graph]:
             raise Graph6Error(exc.reason, exc.offset, lineno) from None
 
 
-def parse_graph6_file(text: str) -> list[Graph]:
-    """One graph6 string per non-empty line; errors name the 1-based line."""
-    return list(_graph6_lines(text.split("\n")))
-
-
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list text format.
 
@@ -144,19 +139,8 @@ def parse_edge_list(text: str) -> Graph:
     return _edge_list(text.split("\n"))
 
 
-def parse_edge_list_counting(text: str) -> tuple[Graph, int]:
-    return _edge_list_counting(text.split("\n"))
-
-
 def _edge_list(lines: Iterable[str]) -> Graph:
-    g, duplicates = _edge_list_counting(lines)
-    if duplicates:
-        logger.warning("edge list contained %d duplicate edge(s)", duplicates)
-    return g
-
-
-def _edge_list_counting(lines: Iterable[str]) -> tuple[Graph, int]:
-    """The graph of an edge list given as its lines, and its duplicate-edge count."""
+    """The graph of an edge list given as its lines; duplicate edges are logged."""
     n: int | None = None
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
@@ -198,7 +182,9 @@ def _edge_list_counting(lines: Iterable[str]) -> tuple[Graph, int]:
             edges.append(key)
     if n is None:
         raise EdgeListError("missing vertex count line", 1)
-    return build_graph(n, edges), duplicates
+    if duplicates:
+        logger.warning("edge list contained %d duplicate edge(s)", duplicates)
+    return build_graph(n, edges)
 
 
 def _ascii_lines(fh: TextIO, fmt: str) -> Iterator[str]:
@@ -301,18 +287,6 @@ class ReportTally:
         return rec
 
 
-@dataclass(frozen=True, eq=False)
-class RunReport:
-    meta: ReportMeta
-    records: tuple[GraphRecord, ...]
-
-    def aggregates(self) -> dict[str, Any]:
-        tally = ReportTally()
-        for rec in self.records:
-            tally.add(rec)
-        return asdict(tally)
-
-
 # JSON reports are laid out exactly as json.dumps(doc, indent=2, sort_keys=True)
 # lays them out; the records are written through fixed templates, keys in
 # sorted order, because json.dumps cannot use its C encoder once it indents.
@@ -403,67 +377,60 @@ _CSV_TABLES = {
 }
 
 
-def _spool(meta: ReportMeta, records: Iterable[GraphRecord], fmt: str,
-           body: TextIO) -> tuple[str, str, dict[str, Any]]:
-    """Write the records of a report to ``body``; return (head, tail, aggregates).
-
-    The report is head + body + tail.  ``records`` is consumed once, and each
-    record is dropped before the next is drawn: ``map`` holds an item only
-    for its call, and ``writelines``/``writerows`` only the text made from it.
-    """
-    tally = ReportTally()
-    counted = map(tally.add, records)
-    if fmt == "json":
-        items = map(_record_json, counted)
-        first = next(items, None)
-        if first is not None:
-            body.write("\n    " + first)
-            body.writelines(",\n    " + item for item in items)
-        aggregates = asdict(tally)
-        head = {
-            "aggregates": aggregates,
-            "meta": {
-                "timestamp": meta.timestamp,
-                "seed": meta.seed,
-                "spec": meta.spec,
-                "theorems": list(meta.theorems),
-            },
-        }
-        # the small head through json.dumps, its closing "\n}" reopened for "records"
-        head_text = json.dumps(head, indent=2, sort_keys=True)[:-2] + ',\n  "records": ['
-        return head_text, ("]" if first is None else "\n  ]") + "\n}\n", aggregates
-    if fmt not in _CSV_TABLES:
-        raise ValueError(f"unknown report format {fmt!r} (expected 'json', 'csv' or 'index_csv')")
-    header, rows = _CSV_TABLES[fmt]
-    csv.writer(body, lineterminator="\n").writerows(
-        itertools.chain.from_iterable(map(rows, counted))
-    )
-    return ",".join(header) + "\n", "", asdict(tally)
-
-
 def write_report(meta: ReportMeta, records: Iterable[GraphRecord], fmt: str,
                  path: str) -> dict[str, Any]:
     """Stream a report to ``path`` and return its aggregates.
 
     ``fmt`` is "json", "csv" (the check table) or "index_csv" (the index
-    table).  The records go to an unnamed temporary file in the directory of
+    table).  An unknown format, a ``path`` that is a directory or one whose
+    directory cannot hold a file is refused before the first record is drawn,
+    and the error names ``path`` as given.  ``records`` is consumed once, and
+    each record is dropped before the next is drawn: ``map`` holds an item
+    only for its call, and ``writelines``/``writerows`` only the text made
+    from it.  The records go to an unnamed temporary file in the directory of
     ``path`` as they arrive; ``path`` is opened only after the last one, to
     write the head and copy the records in.  A run that fails part way thus
     leaves ``path`` as it was.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    with tempfile.TemporaryFile("w+", encoding="ascii", newline="", dir=directory) as body:
-        head, tail, aggregates = _spool(meta, records, fmt, body)
+    if fmt != "json" and fmt not in _CSV_TABLES:
+        raise ValueError(f"unknown report format {fmt!r} (expected 'json', 'csv' or 'index_csv')")
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    try:
+        body = tempfile.TemporaryFile("w+", encoding="ascii", newline="",
+                                      dir=os.path.dirname(os.path.abspath(path)))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    tally = ReportTally()
+    counted = map(tally.add, records)
+    with body:
+        if fmt == "json":
+            items = map(_record_json, counted)
+            first = next(items, None)
+            if first is not None:
+                body.write("\n    " + first)
+                body.writelines(",\n    " + item for item in items)
+            head = {
+                "aggregates": asdict(tally),
+                "meta": {
+                    "timestamp": meta.timestamp,
+                    "seed": meta.seed,
+                    "spec": meta.spec,
+                    "theorems": list(meta.theorems),
+                },
+            }
+            # the small head through json.dumps, its closing "\n}" reopened for "records"
+            head_text = json.dumps(head, indent=2, sort_keys=True)[:-2] + ',\n  "records": ['
+            tail = ("]" if first is None else "\n  ]") + "\n}\n"
+        else:
+            header, rows = _CSV_TABLES[fmt]
+            csv.writer(body, lineterminator="\n").writerows(
+                itertools.chain.from_iterable(map(rows, counted))
+            )
+            head_text, tail = ",".join(header) + "\n", ""
         body.seek(0)
         with open(path, "w", encoding="ascii", newline="") as out:
-            out.write(head)
+            out.write(head_text)
             shutil.copyfileobj(body, out)
             out.write(tail)
-    return aggregates
-
-
-def emit_report(report: RunReport, fmt: str) -> bytes:
-    """The bytes :func:`write_report` writes for ``report``."""
-    body = io.StringIO()
-    head, tail, _ = _spool(report.meta, report.records, fmt, body)
-    return (head + body.getvalue() + tail).encode("ascii")
+    return asdict(tally)

@@ -1,4 +1,4 @@
-"""Line-graph construction and the edge-count/degree identities that come with it.
+"""Line-graph construction and the degree identity that comes with it.
 
 Line-graph vertices are indexed by the rank of the source edge in sorted
 (u, v) order, so reports and the vertex map are deterministic.  Trivial
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
 
-from .graph_core import DegreeStats, Graph, GraphError, classify_components, degree_stats
+from .graph_core import Graph, GraphError, classify_components
 
 
 class TrivialComponentError(GraphError):
@@ -26,10 +26,6 @@ class TrivialComponentError(GraphError):
 class LineGraphResult:
     line_graph: Graph
     vertex_map: Mapping[tuple[int, int], int]  # source edge -> line-graph vertex
-
-    @functools.cached_property
-    def stats(self) -> DegreeStats:
-        return degree_stats(self.line_graph)
 
 
 # One entry: a run checks one graph at a time, and an older L(G) is garbage.
@@ -56,12 +52,3 @@ def line_graph(g: Graph) -> LineGraphResult:
             raise AssertionError(f"line-graph degree identity violated at edge {(u, v)}")
 
     return LineGraphResult(lg, types.MappingProxyType(edge_index))
-
-
-def line_edge_count(g: Graph) -> int:
-    """Number of edges of L(g), by direct construction.
-
-    Equals half the Platt number and (M1 - 2m)/2; those identities are what the
-    verification harness checks, so they are *not* asserted here.
-    """
-    return line_graph(g).line_graph.m

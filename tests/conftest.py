@@ -4,6 +4,8 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from topoline.graph_core import Graph
+from topoline.harness import verification_meta, verify_records
+from topoline.io_formats import write_report
 
 settings.register_profile(
     "default",
@@ -44,3 +46,12 @@ def connected_graphs(draw, min_n: int = 2, max_n: int = 7):
 def nontrivial_graphs(draw, min_n: int = 3, max_n: int = 7):
     """Connected graphs with at least two edges (n >= 3 suffices)."""
     return draw(connected_graphs(min_n=max(min_n, 3), max_n=max_n))
+
+
+def write_verified(tmp_path, spec, theorems=None, fmt="json") -> tuple[bytes, dict]:
+    """Verify ``spec`` as ``topoline verify --no-timestamp`` does, writing the
+    report under ``tmp_path``; its bytes and aggregates."""
+    meta = verification_meta(spec, theorems)
+    out = tmp_path / f"report.{fmt}"
+    aggregates = write_report(meta, verify_records(spec, meta.theorems), fmt, str(out))
+    return out.read_bytes(), aggregates

@@ -273,6 +273,39 @@ class TestVerify:
         if existing:
             assert out.read_bytes() == b"an earlier report\n"
 
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--theorems", "T1,T3", "--n-min", "1", "--n-max", "6"],
+        ["compute", "--in", "{src}", "--format", "graph6", "--emit", "json"],
+    ], ids=["verify", "compute"])
+    def test_unwritable_out_refused_before_any_record(self, tmp_path, capsys, monkeypatch,
+                                                      argv, where):
+        import topoline.cli as cli
+        import topoline.harness as harness
+
+        drawn = []
+        graph_record = harness.graph_record
+
+        def counting(g, *args, **kwargs):
+            drawn.append(g)
+            return graph_record(g, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "graph_record", counting)  # verify's records
+        monkeypatch.setattr(cli, "graph_record", counting)  # compute's records
+        src = tmp_path / "in.g6"
+        src.write_text(emit_graph6(cycle_graph(4)) + "\n")
+        if where == "directory":
+            out = tmp_path / "reports"
+            out.mkdir()
+        else:
+            out = tmp_path / "missing" / "report.json"
+        before = sorted(tmp_path.rglob("*"))
+        code = main([arg.format(src=src) for arg in argv] + ["--out", str(out)])
+        assert code == 2
+        assert f": {str(out)!r}" in capsys.readouterr().err
+        assert drawn == []
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_repeated_theorem_ids_run_once(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = main(["verify", "--theorems", "T3,T1,T3,T1", "--n-min", "3", "--n-max", "3",

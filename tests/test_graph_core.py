@@ -87,27 +87,26 @@ class TestDegreeStats:
         assert (st_.max_degree, st_.min_degree) == (2, 1)
         assert st_.is_non_trivial
 
-    def test_empty_graph_flagged_degenerate(self):
+    def test_empty_graph_degree_extremes(self):
         st_ = degree_stats(Graph(0))
-        assert st_.degenerate
         assert (st_.max_degree, st_.min_degree) == (0, 0)
 
 
 class TestClassifyComponents:
     def test_c5_regular_cycle(self):
         info = classify_components(cycle_graph(5)).components[0]
-        assert info.regular and info.cycle and not info.biregular and not info.tree
+        assert info.regular and not info.biregular and not info.tree
 
     def test_s4_biregular_tree(self):
         info = classify_components(star_graph(4)).components[0]
-        assert info.biregular and info.degree_pair == (3, 1) and info.tree
+        assert info.biregular and info.tree
         assert not info.regular
 
     def test_p4_neither_regular_nor_biregular(self):
         # edge (1, 2) joins two degree-2 vertices while the degree set is {1, 2}
         info = classify_components(path_graph(4)).components[0]
         assert not info.regular and not info.biregular
-        assert info.path and info.tree
+        assert info.tree
 
     def test_components_partition_vertices(self):
         g = disjoint_union(cycle_graph(3), star_graph(4))
@@ -139,7 +138,6 @@ class TestClassifyComponents:
             joins = {frozenset((sub.degree(u), sub.degree(v))) for u, v in sub.edges()}
             biregular = len(degrees) == 2 and joins == {frozenset(degrees)}
             assert info.biregular == biregular
-            assert info.degree_pair == (tuple(sorted(degrees, reverse=True)) if biregular else None)
 
 
 def _circulant(n: int, jumps: tuple[int, ...]) -> Graph:

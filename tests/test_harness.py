@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import write_verified
 from topoline.graph_core import (
     canonical_form,
     cycle_graph,
@@ -20,12 +21,12 @@ from topoline.harness import (
     enumerate_graphs,
     enumerate_trees,
     extremal_search,
-    run_verification,
     sample_gnp,
+    verification_meta,
     verify_records,
 )
 from topoline.indices import compute_index_vector
-from topoline.io_formats import ReportMeta, emit_graph6, emit_report, write_report
+from topoline.io_formats import ReportMeta, emit_graph6, write_report
 from topoline.line_graph import line_graph
 
 
@@ -101,35 +102,36 @@ class TestEnumeration:
 
 
 class TestRunVerification:
-    def test_connected_n4_all_theorems_zero_violations(self):
-        report = run_verification(EnumerationSpec(2, 4, connected_only=True, non_trivial_only=True))
-        assert report.aggregates()["violations"] == 0
+    def test_connected_n4_all_theorems_zero_violations(self, tmp_path):
+        spec = EnumerationSpec(2, 4, connected_only=True, non_trivial_only=True)
+        _, aggregates = write_verified(tmp_path, spec)
+        assert aggregates["violations"] == 0
 
     def test_single_graph_t6_equality(self, tmp_path):
         path = tmp_path / "c4.g6"
         path.write_text(emit_graph6(cycle_graph(4)) + "\n")
-        report = run_verification(
-            EnumerationSpec(4, 4, source=str(path)), theorems=("T6",)
-        )
-        assert len(report.records) == 1
-        check = report.records[0].checks[0]
+        records = list(verify_records(EnumerationSpec(4, 4, source=str(path)), theorems=("T6",)))
+        assert len(records) == 1
+        check = records[0].checks[0]
         assert check.theorem_id == "T6" and check.equality
 
-    def test_empty_spec_empty_report(self):
-        report = run_verification(EnumerationSpec(5, 3))
-        assert report.records == ()
-        assert report.aggregates()["graphs_checked"] == 0
+    def test_empty_spec_empty_report(self, tmp_path):
+        assert list(verify_records(EnumerationSpec(5, 3))) == []
+        _, aggregates = write_verified(tmp_path, EnumerationSpec(5, 3))
+        assert aggregates["graphs_checked"] == 0
 
     def test_unknown_theorem_rejected(self):
         with pytest.raises(ValueError, match="unknown theorem"):
-            run_verification(EnumerationSpec(3, 3), theorems=("T42",))
+            verification_meta(EnumerationSpec(3, 3), theorems=("T42",))
+        with pytest.raises(ValueError, match="unknown theorem"):
+            next(verify_records(EnumerationSpec(3, 3), theorems=("T42",)))
 
-    def test_report_bytes_pinned(self):
+    def test_report_bytes_pinned(self, tmp_path):
         # Every graph with n <= 6 under all eleven checks: a refactor of the
-        # checks, the harness or the emitters must leave these bytes alone.
-        report = run_verification(EnumerationSpec(1, 6))
+        # checks, the harness or the writer must leave these bytes alone.
+        spec = EnumerationSpec(1, 6)
         digests = {
-            fmt: hashlib.sha256(emit_report(report, fmt)).hexdigest()
+            fmt: hashlib.sha256(write_verified(tmp_path, spec, fmt=fmt)[0]).hexdigest()
             for fmt in ("json", "csv")
         }
         assert digests == {
@@ -151,14 +153,14 @@ class TestRunVerification:
             return emit_graph6(g)
 
         monkeypatch.setattr(harness, "emit_graph6", counting)
-        report = run_verification(EnumerationSpec(12, 12, source=str(path)), ("T3",))
-        assert [r.graph_key for r in report.records] == sorted(r.graph6 for r in report.records)
+        records = list(verify_records(EnumerationSpec(12, 12, source=str(path)), ("T3",)))
+        assert [r.graph_key for r in records] == sorted(r.graph6 for r in records)
         assert len(calls) <= 2 * len(graphs)
 
-    def test_determinism_across_runs(self):
+    def test_determinism_across_runs(self, tmp_path):
         spec = EnumerationSpec(2, 4, connected_only=True)
-        a = emit_report(run_verification(spec, ("T1", "T3", "T9")), "json")
-        b = emit_report(run_verification(spec, ("T1", "T3", "T9")), "json")
+        a, _ = write_verified(tmp_path, spec, ("T1", "T3", "T9"))
+        b, _ = write_verified(tmp_path, spec, ("T1", "T3", "T9"))
         assert a == b
 
 
@@ -183,7 +185,8 @@ class TestPerRecordLifetime:
         return str(path)
 
     def test_cache_bounds_after_a_run(self):
-        run_verification(EnumerationSpec(1, 6))
+        for _ in verify_records(EnumerationSpec(1, 6)):
+            pass
         assert line_graph.cache_info().currsize <= 1
         assert compute_index_vector.cache_info().currsize <= 2
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,13 @@ from topoline.hyperbolicity import (
 )
 
 
+def lattice_distance(lat, i: int, j: int) -> Fraction | float:
+    """The distance between lattice points i and j, read from ``lat.hops``:
+    a rational in edge lengths, or infinity across components."""
+    h = int(lat.hops[i, j])
+    return math.inf if h < 0 else Fraction(h, lat.granularity)
+
+
 class TestSubdividedDistances:
     def test_antipodal_midpoints_on_c4(self):
         # hand count on the 8-point lattice: midpoint of (0,1) to midpoint of (2,3)
@@ -34,21 +42,21 @@ class TestSubdividedDistances:
         i = lat.points.index(MetricPoint((0, 1), Fraction(1, 2)))
         j = lat.points.index(MetricPoint((2, 3), Fraction(1, 2)))
         assert len(lat.points) == 8
-        assert lat.distance(i, j) == 2
+        assert lattice_distance(lat, i, j) == 2
 
     def test_adjacent_vertices_at_distance_one(self):
         lat = subdivided_distances(complete_graph(4), 8)
         for u, v in complete_graph(4).edges:
-            assert lat.distance(u, v) == 1
+            assert lattice_distance(lat, u, v) == 1
 
     def test_p3_endpoints(self):
         lat = subdivided_distances(path_graph(3), 4)
-        assert lat.distance(0, 2) == 2
+        assert lattice_distance(lat, 0, 2) == 2
 
     def test_disconnected_pairs_infinite(self):
         g = disjoint_union(path_graph(2), path_graph(2))
         lat = subdivided_distances(g, 2)
-        assert lat.distance(0, 2) == float("inf")
+        assert lattice_distance(lat, 0, 2) == float("inf")
 
     def test_bad_granularity(self):
         with pytest.raises(ValueError, match="granularity"):
@@ -62,7 +70,7 @@ class TestSubdividedDistances:
         for src in range(g.n):
             dist = bfs_distances(adj, src)
             for v in range(g.n):
-                assert lat.distance(src, v) == dist[v]
+                assert lattice_distance(lat, src, v) == dist[v]
 
     @given(graphs(max_n=6), st.sampled_from([2, 4, 8]))
     @settings(max_examples=25)
@@ -215,7 +223,7 @@ def assert_witness_attains(g):
     probe = index[witness.probe]
     others = [s for i, s in enumerate(witness.sides) if i != witness.probe_side]
     union = {index[p] for side in others for p in side}
-    value = min(lat.distance(probe, q) for q in union)
+    value = min(lattice_distance(lat, probe, q) for q in union)
     assert value == result.delta
     assert witness.probe in witness.sides[witness.probe_side]
     # each recorded side must be a geodesic between its corners
@@ -223,9 +231,9 @@ def assert_witness_attains(g):
         corners = [c for j, c in enumerate(witness.corners) if j != i]
         assert side[0] in corners and side[-1] in corners
         length = sum(
-            lat.distance(index[a], index[b]) for a, b in zip(side, side[1:])
+            lattice_distance(lat, index[a], index[b]) for a, b in zip(side, side[1:])
         )
-        assert length == lat.distance(index[side[0]], index[side[-1]])
+        assert length == lattice_distance(lat, index[side[0]], index[side[-1]])
 
 
 class TestWitness:

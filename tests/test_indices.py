@@ -7,7 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import connected_graphs, graphs
-from oracles import index_vector_oracle
+from oracles import (
+    all_edges_degree_equal,
+    evaluate_vdb_index,
+    harmonic_of_path,
+    index_vector_oracle,
+)
 from topoline.graph_core import (
     Graph,
     complete_graph,
@@ -17,13 +22,7 @@ from topoline.graph_core import (
     path_graph,
     star_graph,
 )
-from topoline.indices import (
-    IsolatedVertexError,
-    all_edges_degree_equal,
-    compute_index_vector,
-    evaluate_vdb_index,
-    harmonic_of_path,
-)
+from topoline.indices import IsolatedVertexError, compute_index_vector
 from topoline.line_graph import line_graph
 
 

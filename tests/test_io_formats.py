@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import graphs
-from oracles import report_csv_oracle, report_json_oracle
+from conftest import graphs, write_verified
+from oracles import aggregates_oracle, report_csv_oracle, report_json_oracle
 from topoline.graph_core import (
     Graph,
     canonical_form,
@@ -20,8 +20,8 @@ from topoline.graph_core import (
 from topoline.harness import (
     EnumerationSpec,
     graph_record,
-    run_verification,
     sample_gnp,
+    verification_meta,
     verify_records,
 )
 from topoline.indices import compute_index_vector
@@ -30,15 +30,11 @@ from topoline.io_formats import (
     EdgeListError,
     Graph6Error,
     ReportMeta,
-    RunReport,
     emit_edge_list,
     emit_graph6,
-    emit_report,
     format_value,
     parse_edge_list,
-    parse_edge_list_counting,
     parse_graph6,
-    parse_graph6_file,
     read_graph_file,
     write_report,
 )
@@ -80,6 +76,12 @@ EDGE_LIST_LIKE = st.tuples(
 ).map("".join)
 
 
+def read_graph6_text(path, text: str) -> list[Graph]:
+    """The graphs of a graph6 file holding ``text``."""
+    path.write_bytes(text.encode())
+    return list(read_graph_file(str(path), "graph6"))
+
+
 def nx_graph6(g: Graph) -> str:
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
@@ -112,9 +114,9 @@ class TestGraph6:
         with pytest.raises(Graph6Error, match="trailing garbage"):
             parse_graph6("Bwx")
 
-    def test_file_error_names_physical_line(self):
+    def test_file_error_names_physical_line(self, tmp_path):
         with pytest.raises(Graph6Error) as excinfo:
-            parse_graph6_file("Bw\n\nC!x\n")
+            read_graph6_text(tmp_path / "in.g6", "Bw\n\nC!x\n")
         err = excinfo.value
         assert (err.line, err.offset) == (3, 2)
         assert str(err) == "line 3: trailing garbage after payload (byte offset 2)"
@@ -131,13 +133,13 @@ class TestGraph6:
         with pytest.raises(ValueError, match="n <= 62"):
             emit_graph6(Graph(63))
 
-    def test_file_lines_are_physical_lines(self):
+    def test_file_lines_are_physical_lines(self, tmp_path):
         # \x0c and \x0b break lines for str.splitlines, not in a file
         with pytest.raises(Graph6Error) as excinfo:
-            parse_graph6_file("Bw\x0cC!x\n")
+            read_graph6_text(tmp_path / "in.g6", "Bw\x0cC!x\n")
         assert excinfo.value.line == 1
         with pytest.raises(Graph6Error, match="line 1: trailing garbage"):
-            parse_graph6_file("Bw\x0cBg")
+            read_graph6_text(tmp_path / "in.g6", "Bw\x0cBg")
 
     @given(st.one_of(st.text(max_size=40), graph6_like()))
     def test_fuzz_parse_graph6(self, text):
@@ -150,9 +152,10 @@ class TestGraph6:
         st.text(max_size=80),
         st.lists(st.one_of(graph6_like(), st.text(max_size=3)), max_size=6).map("\n".join),
     ))
-    def test_fuzz_parse_graph6_file(self, text):
+    def test_fuzz_parse_graph6_file(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "fuzz.g6"
         try:
-            assert all(isinstance(g, Graph) for g in parse_graph6_file(text))
+            assert all(isinstance(g, Graph) for g in read_graph6_text(path, text))
         except Graph6Error:
             pass
 
@@ -180,10 +183,11 @@ class TestEdgeList:
     def test_p3(self):
         assert parse_edge_list("3\n0 1\n1 2") == path_graph(3)
 
-    def test_duplicate_warning_count(self):
-        g, dups = parse_edge_list_counting("4\n0 1\n0 1\n1 2\n2 3")
+    def test_duplicate_warning_count(self, caplog):
+        with caplog.at_level("WARNING"):
+            g = parse_edge_list("4\n0 1\n0 1\n1 2\n1 0\n2 3")
         assert g == path_graph(4)
-        assert dups == 1
+        assert "contained 2 duplicate edge(s)" in caplog.text
 
     def test_duplicate_logged(self, caplog):
         with caplog.at_level("WARNING"):
@@ -275,45 +279,43 @@ class TestFormatValue:
 
 
 class TestReports:
-    def test_empty_run_valid(self):
-        report = RunReport(meta=ReportMeta(), records=())
-        doc = json.loads(emit_report(report, "json"))
+    def test_empty_run_valid(self, tmp_path):
+        out = tmp_path / "report"
+        write_report(ReportMeta(), (), "json", str(out))
+        doc = json.loads(out.read_bytes())
         assert doc["records"] == []
         assert doc["aggregates"]["graphs_checked"] == 0
-        assert emit_report(report, "csv").decode().splitlines()[0].startswith("graph_key")
+        write_report(ReportMeta(), (), "csv", str(out))
+        assert out.read_text().splitlines()[0].startswith("graph_key")
 
-    def test_connected_n4_record_and_row_counts(self):
-        report = run_verification(EnumerationSpec(4, 4, connected_only=True))
-        assert len(report.records) == 6
-        rows = emit_report(report, "csv").decode().splitlines()
+    def test_connected_n4_record_and_row_counts(self, tmp_path):
+        spec = EnumerationSpec(4, 4, connected_only=True)
+        assert sum(1 for _ in verify_records(spec)) == 6
+        rows = write_verified(tmp_path, spec, fmt="csv")[0].decode().splitlines()
         assert rows[0] == (
             "graph_key,n,m,max_deg,min_deg,theorem_id,lhs,rhs,satisfied,equality,slack"
         )
         assert len(rows) == 1 + 6 * 11  # header + 6 graphs x T1..T11
 
-    def test_deterministic_bytes(self):
+    def test_deterministic_bytes(self, tmp_path):
         spec = EnumerationSpec(3, 4, connected_only=True)
-        a = emit_report(run_verification(spec), "json")
-        b = emit_report(run_verification(spec), "json")
-        assert a == b
-        assert emit_report(run_verification(spec), "csv") == emit_report(
-            run_verification(spec), "csv"
-        )
+        for fmt in ("json", "csv"):
+            assert write_verified(tmp_path, spec, fmt=fmt) == write_verified(tmp_path, spec, fmt=fmt)
 
-    def test_violation_counter_matches_records(self):
-        report = run_verification(EnumerationSpec(3, 5, connected_only=True))
-        agg = report.aggregates()
+    def test_violation_counter_matches_records(self, tmp_path):
+        records = tuple(verify_records(EnumerationSpec(3, 5, connected_only=True)))
+        agg = write_report(ReportMeta(), records, "json", str(tmp_path / "report.json"))
         recount = sum(
             1
-            for rec in report.records
+            for rec in records
             for c in rec.checks
             if c.applicable and not c.satisfied
         )
         assert agg["violations"] == recount == 0
 
-    def test_unknown_format_rejected(self):
+    def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown report format"):
-            emit_report(RunReport(meta=ReportMeta(), records=()), "xml")
+            write_report(ReportMeta(), (), "xml", str(tmp_path / "report.xml"))
 
 
 def _record(g, theorems=(), **fields):
@@ -324,7 +326,7 @@ def _record(g, theorems=(), **fields):
     return graph_record(g, iv, (GRAPH_CHECKS[t](g) for t in theorems), note, **fields)
 
 
-def _escaping_report() -> RunReport:
+def _escaping_report() -> tuple[ReportMeta, tuple]:
     awkward = 'quote " backslash \\ newline \n tab \t control \x01 delta \u03b4 line sep \u2028'
     nested = BoundCheckResult(
         "X.outer", Fraction(1, 3), 0.5, True, False, Fraction(1, 6), reason=awkward,
@@ -338,27 +340,34 @@ def _escaping_report() -> RunReport:
     rec = graph_record(cycle_graph(4), None, (nested,), note=awkward, key='key, with "quotes"')
     meta = ReportMeta(timestamp=awkward, seed=7, spec={"z": [1, None], "a": {"b": "\u00e9"}},
                       theorems=("T1", "T10"))
-    return RunReport(meta=meta, records=(rec,))
+    return meta, (rec,)
 
 
 HUBS = (star_graph(5), complete_graph(5), Graph(6, ((0, 1), (1, 2), (1, 3), (1, 4), (4, 5))))
 
-#: reports the writer must serialize exactly as the whole-document oracles do
+def _verified(spec: EnumerationSpec) -> tuple[ReportMeta, tuple]:
+    meta = verification_meta(spec)
+    return meta, tuple(verify_records(spec, meta.theorems))
+
+
+#: (meta, records) the writer must serialize exactly as the whole-document oracles do
 ORACLE_CASES = {
-    "n<=6": lambda: run_verification(EnumerationSpec(1, 6)),
-    "empty": lambda: RunReport(meta=ReportMeta(), records=()),
-    "isolated vertex": lambda: RunReport(
-        meta=ReportMeta(theorems=("T1", "T9")),
-        records=(_record(Graph(3, ((0, 1),)), ("T1", "T9")),),
+    "n<=6": lambda: _verified(EnumerationSpec(1, 6)),
+    "empty": lambda: (ReportMeta(), ()),
+    "isolated vertex": lambda: (
+        ReportMeta(theorems=("T1", "T9")),
+        (_record(Graph(3, ((0, 1),)), ("T1", "T9")),),
     ),
-    "compute past graph6": lambda: RunReport(
-        meta=ReportMeta(), records=(_record(path_graph(70)),)
-    ),
-    "nested branches": lambda: RunReport(
-        meta=ReportMeta(seed=3, theorems=("T9", "T10")),
-        records=tuple(_record(g, ("T9", "T10")) for g in HUBS),
+    "compute past graph6": lambda: (ReportMeta(), (_record(path_graph(70)),)),
+    "nested branches": lambda: (
+        ReportMeta(seed=3, theorems=("T9", "T10")),
+        tuple(_record(g, ("T9", "T10")) for g in HUBS),
     ),
     "escaping": _escaping_report,
+    "violation": lambda: (ReportMeta(), (graph_record(
+        path_graph(3), None, (BoundCheckResult("X.fails", 2, 1, False, False, -1),),
+        key='key, with "quotes"',
+    ),)),
 }
 
 
@@ -367,17 +376,18 @@ class TestStreamingWriter:
 
     @pytest.mark.parametrize("case", list(ORACLE_CASES))
     def test_matches_oracles(self, case, tmp_path):
-        report = ORACLE_CASES[case]()
-        expected = {"json": report_json_oracle(report), "csv": report_csv_oracle(report)}
+        meta, records = ORACLE_CASES[case]()
+        expected = {"json": report_json_oracle(meta, records),
+                    "csv": report_csv_oracle(meta, records)}
         for fmt, payload in expected.items():
-            assert emit_report(report, fmt) == payload, fmt
             out = tmp_path / f"report.{fmt}"
-            assert write_report(report.meta, iter(report.records), fmt, str(out)) == \
-                report.aggregates()
+            assert write_report(meta, iter(records), fmt, str(out)) == aggregates_oracle(records)
             assert out.read_bytes() == payload, fmt
 
-    def test_escapes_like_json_dumps(self):
-        doc = json.loads(emit_report(_escaping_report(), "json"))
+    def test_escapes_like_json_dumps(self, tmp_path):
+        out = tmp_path / "report.json"
+        write_report(*_escaping_report(), "json", str(out))
+        doc = json.loads(out.read_bytes())
         (check,) = doc["records"][0]["checks"]
         assert check["reason"] == doc["records"][0]["note"] == doc["meta"]["timestamp"]
         assert "\u03b4" in check["reason"]

@@ -12,7 +12,7 @@ from topoline.graph_core import (
     star_graph,
 )
 from topoline.indices import compute_index_vector
-from topoline.line_graph import LineGraphResult, TrivialComponentError, line_edge_count, line_graph
+from topoline.line_graph import TrivialComponentError, line_graph
 
 
 class TestLineGraph:
@@ -48,21 +48,14 @@ class TestLineGraph:
     @given(nontrivial_graphs())
     def test_degree_bounds(self, g):
         st_g = degree_stats(g)
-        st_l = line_graph(g).stats
+        st_l = degree_stats(line_graph(g).line_graph)
         assert st_l.max_degree <= 2 * st_g.max_degree - 2
         assert st_l.min_degree >= 2 * st_g.min_degree - 2
-
-    def test_stats_built_on_demand(self):
-        lg = line_graph(star_graph(5)).line_graph
-        result = LineGraphResult(lg, {})
-        assert "stats" not in vars(result)
-        assert result.stats == degree_stats(lg)
-        assert result.stats is result.stats
 
     @given(nontrivial_graphs())
     def test_edge_count_identities(self, g):
         iv = compute_index_vector(g)
-        m_l = line_edge_count(g)
+        m_l = line_graph(g).line_graph.m
         assert 2 * m_l == sum(g.degrees[u] + g.degrees[v] - 2 for u, v in g.edges)
         assert 2 * m_l == iv.platt
         assert 2 * m_l == iv.m1 - 2 * g.m
@@ -75,10 +68,10 @@ class TestLineGraph:
 
 class TestLineEdgeCount:
     def test_c4(self):
-        assert line_edge_count(cycle_graph(4)) == 4
+        assert line_graph(cycle_graph(4)).line_graph.m == 4
 
     def test_s4(self):
-        assert line_edge_count(star_graph(4)) == 3
+        assert line_graph(star_graph(4)).line_graph.m == 3
 
     def test_p3(self):
-        assert line_edge_count(path_graph(3)) == 1
+        assert line_graph(path_graph(3)).line_graph.m == 1
