@@ -3,10 +3,12 @@
 a given order: distribution of delta, tightness of the m/4 bound, and the
 slack of the GA1(L(G)) lower bound.
 
-delta is computed exactly: per-corner farthest tables filled one BFS level at a
-time, one numpy reduction over every apex per probed side, and an early stop
+delta is computed exactly: corners in J(G) (vertices and edge midpoints) on
+the granularity-4 lattice, per-corner farthest tables filled one BFS level at
+a time, one numpy reduction over every apex per probed side, and an early stop
 once the search reaches half the lattice diameter.  A --n-max 7 survey (971
-graphs) takes seconds; the exact computation caps at n = 8.
+graphs) takes about 7 s on a 2-core Xeon VM; the exact computation caps at
+n = 8.
 
 Example:
     python scripts/hyperbolicity_survey.py --n-max 7

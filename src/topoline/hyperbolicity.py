@@ -3,13 +3,17 @@
 The hyperbolicity constant delta(G) is the least t such that in every geodesic
 triangle, each side lies in the t-neighborhood of the union of the other two
 sides, where points range over the whole metric graph (every edge has length
-1).  For such graphs delta is an integer multiple of 1/4, which makes a finite
-computation possible:
+1).  For such graphs delta is an integer multiple of 1/4, and it is attained
+by a geodesic triangle whose corners lie in J(G), the set of vertices and edge
+midpoints (Bermudo, Rodriguez, Sigarreta and Vilaire, "Gromov hyperbolic
+graphs", Discrete Math. 313 (2013)).  That makes a finite computation
+possible:
 
 * every edge is subdivided into ``granularity`` equal segments, giving a
-  lattice on which shortest-path distances are exact rationals;
-* triangle corners range over the quarter-lattice (offsets that are multiples
-  of 1/4), probe points over the full lattice;
+  lattice of integer indices on which shortest-path distances are exact
+  rationals (see `SubdividedLattice`);
+* triangle corners range over J(G), n + m points found by index, probe points
+  over the full lattice;
 * for a probe point p and a corner pair (a, b), the largest distance from p to
   *some* geodesic a-b is a bottleneck-path value, tabulated for every b at once
   by BFS level from a; the two far sides of a triangle maximize independently,
@@ -23,10 +27,15 @@ computation possible:
   components are at hop distance -1, so such a corner pair is never a side
   and delta is the largest over the components.
 
-The pointwise distance-to-union function is piecewise linear with slopes in
-{-1, 0, 1} along the probed side, so the sampled maximum is within half a
-lattice step of the true supremum; since the true value sits on the
-quarter-integer grid, the sampled maximum recovers it exactly.  Should the
+Why the default granularity 4 is exact.  The J(G) corners are points of the
+k = 4 lattice, so every geodesic between two of them is a lattice path, and
+the distance from a lattice point to a union of such paths is a lattice
+distance, a multiple of 1/4.  Along a probed side the distance to the union
+of the other two sides is 1-Lipschitz, and every point of the side lies
+within 1/8 of a lattice point on it, so the sampled maximum is within 1/8 of
+the supremum and never above it.  On a triangle attaining delta the
+supremum is delta, a quarter-integer, and the sample, itself a
+quarter-integer, equals it (the same argument holds at k = 8).  Should the
 sampled value ever fall strictly between quarter-integers the result is
 rounded up (delta is certified from below by an explicit triangle) and the
 ``rounded_up`` flag is set; the test suite asserts this never happens.
@@ -41,7 +50,7 @@ from fractions import Fraction
 from .graph_core import Graph, is_forest
 
 GRANULARITIES = (2, 4, 8)
-DEFAULT_GRANULARITY = 8
+DEFAULT_GRANULARITY = 4
 DEFAULT_VERTEX_CAP = 8
 
 
@@ -81,14 +90,39 @@ class MetricPoint:
 class SubdividedLattice:
     """All-pairs exact distances on the subdivision lattice of a graph.
 
+    Points are integer indices: vertex v is index v, and the inner point
+    ``step`` (1 <= step < k) of edge e is index n + e(k-1) + step - 1.
     ``hops[i, j]`` is the shortest-path distance in units of 1/granularity,
     or -1 when the points lie in different components.
     """
 
     graph: Graph
     granularity: int
-    points: tuple[MetricPoint, ...]
     hops: np.ndarray
+
+    def point(self, i: int) -> MetricPoint:
+        """The metric point at index ``i``."""
+        n, k = self.graph.n, self.granularity
+        if i < n:
+            return MetricPoint.at_vertex(i)
+        e, step = divmod(i - n, k - 1)
+        return MetricPoint(self.graph.edges[e], Fraction(step + 1, k))
+
+    @property
+    def points(self) -> tuple[MetricPoint, ...]:
+        return tuple(map(self.point, range(len(self.hops))))
+
+    def neighbours(self) -> list[list[int]]:
+        """Lattice adjacency, one hop apart, read off each edge's chain of points."""
+        n, k = self.graph.n, self.granularity
+        adj: list[list[int]] = [[] for _ in range(len(self.hops))]
+        for e, (u, v) in enumerate(self.graph.edges):
+            first = n + e * (k - 1)
+            chain = [u, *range(first, first + k - 1), v]
+            for a, b in zip(chain, chain[1:]):
+                adj[a].append(b)
+                adj[b].append(a)
+        return adj
 
 
 def subdivided_distances(g: Graph, granularity: int) -> SubdividedLattice:
@@ -99,11 +133,6 @@ def subdivided_distances(g: Graph, granularity: int) -> SubdividedLattice:
     import numpy as np
 
     k = granularity
-    # vertices first, then the inner points of each edge in step order
-    points = tuple(
-        [MetricPoint.at_vertex(v) for v in range(g.n)]
-        + [MetricPoint(e, Fraction(step, k)) for e in g.edges for step in range(1, k)]
-    )
     # Vertex hops by Floyd-Warshall; a lattice path between two points leaves
     # each point's edge through one of its ends unless they share the edge.
     E = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
@@ -123,7 +152,7 @@ def subdivided_distances(g: Graph, granularity: int) -> SubdividedLattice:
             via = offs[:, a, None] + dv[np.ix_(ends[:, a], ends[:, b])] + offs[:, b]
             np.minimum(hops, via, out=hops)
     hops[hops >= unreached] = -1
-    return SubdividedLattice(graph=g, granularity=k, points=points, hops=hops.astype(np.int32))
+    return SubdividedLattice(graph=g, granularity=k, hops=hops.astype(np.int32))
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,12 +257,14 @@ def _farthest_tables(D: np.ndarray, adj: list[list[int]], corners: np.ndarray) -
 
 
 def _lattice_delta(lat: SubdividedLattice):
-    """Max sampled triangle value (in hops) over every lattice point at once."""
+    """Max sampled triangle value (in hops): corners in J(G), every lattice point a probe."""
     import numpy as np
 
     D = lat.hops.astype(np.min_scalar_type(-int(lat.hops.max()) - 1))
-    adj = [np.flatnonzero(row == 1).tolist() for row in D]
-    corners = np.array([i for i, p in enumerate(lat.points) if (p.offset * 4).denominator == 1])
+    adj = lat.neighbours()
+    # J(G): vertex v is index v, the midpoint of edge e index n + e(k-1) + k/2 - 1
+    n, k = lat.graph.n, lat.granularity
+    corners = np.concatenate([np.arange(n), n + np.arange(lat.graph.m) * (k - 1) + k // 2 - 1])
     F = _farthest_tables(D, adj, corners)
     G = F[:, corners]  # G[x, e] = farthest value of geodesics x-e; symmetric in x, e
     wide = D[corners].astype(np.int32)  # the union test sums two distances
@@ -277,7 +308,7 @@ def _build_witness(lat, D, adj, F, corners, args) -> GeodesicTriangle:
     apex, a, b = (int(corners[c]) for c in (x, e1, e2))
 
     def pts(path: list[int]) -> tuple[MetricPoint, ...]:
-        return tuple(lat.points[i] for i in path)
+        return tuple(map(lat.point, path))
 
     def far_side(end: int) -> tuple[MetricPoint, ...]:
         # a geodesic apex-end attaining F[x, end, p]: walk back from end over
@@ -287,7 +318,7 @@ def _build_witness(lat, D, adj, F, corners, args) -> GeodesicTriangle:
     probe_path = _geodesic_walk(D, adj, a, p) + _geodesic_walk(D, adj, p, b)[1:]
     # an apex equal to a or b makes one far side that single corner
     sides = (pts(probe_path), far_side(b), far_side(a))  # sides[0] joins a-b, opposite the apex
-    return GeodesicTriangle(pts([apex, a, b]), sides, lat.points[p], probe_side=0)
+    return GeodesicTriangle(pts([apex, a, b]), sides, lat.point(p), probe_side=0)
 
 
 def _validate_structural_facts(g: Graph, delta: Fraction, diameter: Fraction) -> None:

@@ -382,9 +382,10 @@ def write_report(meta: ReportMeta, records: Iterable[GraphRecord], fmt: str,
     """Stream a report to ``path`` and return its aggregates.
 
     ``fmt`` is "json", "csv" (the check table) or "index_csv" (the index
-    table).  An unknown format, a ``path`` that is a directory or one whose
-    directory cannot hold a file is refused before the first record is drawn,
-    and the error names ``path`` as given.  ``records`` is consumed once, and
+    table).  An unknown format, an empty ``path``, a ``path`` that is a
+    directory or ends in a separator, or one whose directory cannot hold a
+    file is refused before the first record is drawn, and the error names
+    ``path`` as given.  ``records`` is consumed once, and
     each record is dropped before the next is drawn: ``map`` holds an item
     only for its call, and ``writelines``/``writerows`` only the text made
     from it.  The records go to an unnamed temporary file in the directory of
@@ -394,11 +395,14 @@ def write_report(meta: ReportMeta, records: Iterable[GraphRecord], fmt: str,
     """
     if fmt != "json" and fmt not in _CSV_TABLES:
         raise ValueError(f"unknown report format {fmt!r} (expected 'json', 'csv' or 'index_csv')")
+    if not path:
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     try:
+        # "missing/" spools in "missing", so a trailing separator is refused here
         body = tempfile.TemporaryFile("w+", encoding="ascii", newline="",
-                                      dir=os.path.dirname(os.path.abspath(path)))
+                                      dir=os.path.dirname(path) or os.curdir)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
     tally = ReportTally()

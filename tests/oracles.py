@@ -151,7 +151,7 @@ def subdivision_lattice(g: Graph, k: int):
 def delta_oracle(g: Graph, k: int = 4, geodesic_cap: int = 512) -> Fraction:
     """Hyperbolicity by explicit enumeration of geodesic triangles.
 
-    Corners range over *all* lattice points (finer than the quarter-lattice),
+    Corners range over *all* lattice points (a superset of J(G)),
     every geodesic between each corner pair is enumerated, and each side is
     probed against the union of the other two.  Exponential; tiny graphs only.
     """

@@ -273,7 +273,9 @@ class TestVerify:
         if existing:
             assert out.read_bytes() == b"an earlier report\n"
 
-    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    @pytest.mark.parametrize(
+        "where", ["missing-directory", "directory", "empty", "trailing-separator"]
+    )
     @pytest.mark.parametrize("argv", [
         ["verify", "--theorems", "T1,T3", "--n-min", "1", "--n-max", "6"],
         ["compute", "--in", "{src}", "--format", "graph6", "--emit", "json"],
@@ -295,14 +297,19 @@ class TestVerify:
         src = tmp_path / "in.g6"
         src.write_text(emit_graph6(cycle_graph(4)) + "\n")
         if where == "directory":
-            out = tmp_path / "reports"
-            out.mkdir()
-        else:
-            out = tmp_path / "missing" / "report.json"
+            (tmp_path / "reports").mkdir()
+        out = {
+            "missing-directory": str(tmp_path / "missing" / "report.json"),
+            "directory": str(tmp_path / "reports"),
+            # neither can ever name a file, so neither waits for the run
+            "empty": "",
+            "trailing-separator": str(tmp_path / "missing") + os.sep,
+        }[where]
+        monkeypatch.chdir(tmp_path)  # anything a relative --out leaves lands in tmp_path
         before = sorted(tmp_path.rglob("*"))
-        code = main([arg.format(src=src) for arg in argv] + ["--out", str(out)])
+        code = main([arg.format(src=src) for arg in argv] + ["--out", out])
         assert code == 2
-        assert f": {str(out)!r}" in capsys.readouterr().err
+        assert f": {out!r}" in capsys.readouterr().err
         assert drawn == []
         assert sorted(tmp_path.rglob("*")) == before
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from topoline.graph_core import (
     path_graph,
     star_graph,
 )
-from topoline.harness import enumerate_trees
+from topoline.harness import EnumerationSpec, enumerate_graphs, enumerate_trees
 from topoline.hyperbolicity import (
     HyperbolicityCapError,
     MetricPoint,
@@ -26,6 +27,7 @@ from topoline.hyperbolicity import (
     hyperbolicity_upper_bound,
     subdivided_distances,
 )
+from topoline.io_formats import emit_graph6
 
 
 def lattice_distance(lat, i: int, j: int) -> Fraction | float:
@@ -144,6 +146,24 @@ class TestAgainstTriangleEnumerationOracle:
             complete_bipartite_graph(2, 3)
         ).delta
 
+    def test_j_corners_exhaustive_through_n5(self):
+        # the oracle takes corners anywhere on the lattice, the search only in J(G)
+        graphs = list(enumerate_graphs(EnumerationSpec(2, 5, connected_only=True)))
+        assert len(graphs) == 30
+        for g in graphs:
+            assert delta_oracle(g, k=4) == hyperbolicity_constant(g).delta, emit_graph6(g)
+
+    def test_every_graph_through_n6_pinned(self):
+        # (graph6, delta, rounded_up) for all 209 graphs with n <= 6, connected or
+        # not, as computed with corners on the quarter-lattice at granularity 8
+        lines = []
+        for g in enumerate_graphs(EnumerationSpec(0, 6)):
+            result = hyperbolicity_constant(g)
+            lines.append(f"{emit_graph6(g)} {result.delta} {result.rounded_up}\n")
+        assert len(lines) == 209
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        assert digest == "95448239b83111bd0fe581b571b393e42850dfc0c9c16214ba8ead9f85f89c9e"
+
     @given(connected_graphs(min_n=3, max_n=5))
     @settings(max_examples=20)
     def test_random_small_graphs(self, g):
@@ -184,8 +204,6 @@ class TestStructuralInvariants:
         )
 
     def test_granularity_stability_exhaustive_n5(self):
-        from topoline.harness import EnumerationSpec, enumerate_graphs
-
         for g in enumerate_graphs(EnumerationSpec(2, 5, connected_only=True)):
             assert (
                 hyperbolicity_constant(g, granularity=4).delta
@@ -199,6 +217,10 @@ class TestStructuralInvariants:
 
 
 class TestSearchCounters:
+    def test_corners_are_vertices_and_midpoints(self):
+        g = complete_bipartite_graph(2, 3)
+        assert hyperbolicity_constant(g).corner_points == g.n + g.m
+
     def test_full_search_counts_every_apex_and_pair(self):
         # a tree never reaches its diam/2 ceiling, so every corner pair is searched
         result = hyperbolicity_constant(path_graph(3))
