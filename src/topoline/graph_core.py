@@ -96,6 +96,14 @@ class Graph:
         bits = "".join(format(col, f"0{t}b") for t, col in enumerate(cols) if t >= 1)
         return f"{self.n}:{bits}"
 
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __hash__(self) -> int:
+        # the dataclass's own hash, computed once: cache lookups hash G and L(G) often
+        return self._hash
+
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and v in self.adjacency[u]
 

@@ -30,7 +30,7 @@ from .io_formats import (
     ReportMeta,
     emit_graph6,
     parse_graph6,
-    read_graph_file,
+    read_graph6_texts,
 )
 from .theorems import GRAPH_CHECKS, THEOREM_IDS, BoundCheckResult, _tolerance
 
@@ -136,14 +136,15 @@ def graph_record(g: Graph, indices: IndexVector | None, checks: Iterable[BoundCh
 
 def _first_texts(spec: EnumerationSpec) -> dict[tuple[int, str], str]:
     """(n, key) -> graph6 text of the first graph of ``spec.source`` with that
-    order and key, over the orders in range; one pass, one line at a time."""
+    order and key, over the orders in range; one pass, one line at a time.
+    Every line is checked as :func:`parse_graph6` checks it, but only a graph
+    within the canonical-form cap is decoded here: beyond it the key is the
+    text itself."""
     texts: dict[tuple[int, str], str] = {}
-    for g in read_graph_file(spec.source, "graph6"):
-        if spec.n_min <= g.n <= spec.n_max:
-            key = _graph_key(g)
-            if (g.n, key) not in texts:
-                # beyond the canonical-form cap the key is the graph6 text itself
-                texts[g.n, key] = emit_graph6(g) if g.n <= CANONICAL_CAP else key
+    for n, text in read_graph6_texts(spec.source):
+        if spec.n_min <= n <= spec.n_max:
+            key = canonical_form(parse_graph6(text)) if n <= CANONICAL_CAP else text
+            texts.setdefault((n, key), text)
     return texts
 
 

@@ -49,7 +49,7 @@ from fractions import Fraction
 
 from .graph_core import Graph, is_forest
 
-GRANULARITIES = (2, 4, 8)
+GRANULARITIES = (4, 8)  # k = 2 is not exact: it samples delta(C5) = 5/4 as 1
 DEFAULT_GRANULARITY = 4
 DEFAULT_VERTEX_CAP = 8
 

@@ -19,11 +19,12 @@ import itertools
 import json
 import logging
 import os
+import re
 import shutil
 import tempfile
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Any, Iterable, Iterator, TextIO
+from typing import Any, Callable, Iterable, Iterator, TextIO
 
 from .graph_core import Graph, build_graph
 from .indices import IndexVector
@@ -51,6 +52,9 @@ class EdgeListError(ValueError):
         self.line = line
 
 
+_BAD_PAYLOAD_BYTE = re.compile(r"[^?-~]")  # outside chr(63)..chr(126)
+
+
 def _pair_sequence(n: int):
     # Column-major upper triangle: (0,1), (0,2), (1,2), (0,3), ...
     for j in range(1, n):
@@ -58,8 +62,10 @@ def _pair_sequence(n: int):
             yield i, j
 
 
-def parse_graph6(s: str) -> Graph:
-    """Decode a short-form graph6 string (optional '>>graph6<<' header allowed)."""
+def _check_graph6(s: str) -> tuple[int, str]:
+    """The order n of a short-form graph6 string and the string without its
+    '>>graph6<<' header, once every check of :func:`parse_graph6` passed;
+    the first fault found raises :class:`Graph6Error` with its byte offset."""
     if s.startswith(GRAPH6_HEADER):
         s = s[len(GRAPH6_HEADER):]
     if not s:
@@ -70,31 +76,30 @@ def parse_graph6(s: str) -> Graph:
     if not 63 <= first <= 125:
         raise Graph6Error(f"size byte {s[0]!r} out of range", 0)
     n = first - 63
-    need = (n * (n - 1) // 2 + 5) // 6
-    payload = s[1:]
-    if len(payload) < need:
-        raise Graph6Error(
-            f"truncated payload: need {need} bytes for n={n}, got {len(payload)}",
-            len(s),
-        )
-    if len(payload) > need:
+    pairs = n * (n - 1) // 2
+    need = (pairs + 5) // 6
+    got = len(s) - 1
+    if got < need:
+        raise Graph6Error(f"truncated payload: need {need} bytes for n={n}, got {got}", len(s))
+    if got > need:
         raise Graph6Error("trailing garbage after payload", 1 + need)
+    bad = _BAD_PAYLOAD_BYTE.search(s, 1)
+    if bad:
+        raise Graph6Error(f"payload byte {bad.group()!r} out of range", bad.start())
+    # the last byte's low 6*need - pairs bits pad the triangle and must be 0
+    if need and (ord(s[-1]) - 63) & ((1 << (6 * need - pairs)) - 1):
+        raise Graph6Error("non-zero padding bits", len(s) - 1)
+    return n, s
 
+
+def parse_graph6(s: str) -> Graph:
+    """Decode a short-form graph6 string (optional '>>graph6<<' header allowed)."""
+    n, s = _check_graph6(s)
     bits: list[int] = []
-    for pos, ch in enumerate(payload):
+    for ch in s[1:]:
         value = ord(ch) - 63
-        if not 0 <= value <= 63:
-            raise Graph6Error(f"payload byte {ch!r} out of range", 1 + pos)
         bits.extend((value >> shift) & 1 for shift in range(5, -1, -1))
-
-    edges = []
-    for bit_pos, (i, j) in enumerate(_pair_sequence(n)):
-        if bits[bit_pos]:
-            edges.append((i, j))
-    for extra in range(n * (n - 1) // 2, len(bits)):
-        if bits[extra]:
-            raise Graph6Error("non-zero padding bits", len(s) - 1)
-    return build_graph(n, edges)
+    return build_graph(n, [pair for pair, bit in zip(_pair_sequence(n), bits) if bit])
 
 
 def emit_graph6(g: Graph) -> str:
@@ -116,14 +121,14 @@ def emit_graph6(g: Graph) -> str:
     return "".join(out)
 
 
-def _graph6_lines(lines: Iterable[str]) -> Iterator[Graph]:
-    """One graph per non-blank line of ``lines``; errors name the 1-based line."""
+def _graph6_lines(lines: Iterable[str], read: Callable[[str], Any] = parse_graph6) -> Iterator:
+    """``read`` of each non-blank line of ``lines``; errors name the 1-based line."""
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
         try:
-            yield parse_graph6(line)
+            yield read(line)
         except Graph6Error as exc:
             raise Graph6Error(exc.reason, exc.offset, lineno) from None
 
@@ -217,6 +222,14 @@ def read_graph_file(path: str, fmt: str) -> Iterator[Graph]:
             yield from _graph6_lines(lines)
         else:
             yield _edge_list(lines)
+
+
+def read_graph6_texts(path: str) -> Iterator[tuple[int, str]]:
+    """(n, text) for each graph of a graph6 file: its order and its line
+    without the header.  Each line is checked exactly as :func:`read_graph_file`
+    checks it, with the same errors in the same order, but not decoded."""
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        yield from _graph6_lines(_ascii_lines(fh, "graph6"), _check_graph6)
 
 
 def emit_edge_list(g: Graph) -> str:

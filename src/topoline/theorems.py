@@ -290,6 +290,11 @@ def check_T5_ga_hyperbolicity(
         delta = hyperbolicity_constant(g, cap=cap).delta
     except HyperbolicityCapError as exc:
         return _not_applicable("T5", str(exc))
+    return ga_hyperbolicity_bound(g, delta)
+
+
+def ga_hyperbolicity_bound(g: Graph, delta: Fraction) -> BoundCheckResult:
+    """T5 on a connected non-tree ``g`` whose hyperbolicity constant is ``delta``."""
     lhs = _line_indices(g).ga1_value()
     rhs = float(4 * delta - 1) ** 1.5 / float(2 * delta)
     return replace(_compare("T5", lhs, rhs, "lower"), reason=f"delta={delta}")
@@ -370,9 +375,13 @@ def check_T10_lemma(inst: LemmaInstance) -> BoundCheckResult:
 
 
 def _lemma(theorem_id: str, k: int, d_max: int, xs: Iterable[int]) -> BoundCheckResult:
-    """:func:`check_T10_lemma` on a tuple known to be valid, named ``theorem_id``."""
+    """:func:`check_T10_lemma` on a tuple known to be valid, named ``theorem_id``.
+
+    S and T stay integer fractions over positive denominators, so each bound
+    c T against S is decided by the sign of one cross-multiplication, and the
+    :class:`Fraction` sides and slack are built once each, already exact."""
     counts = Counter(xs).items()
-    s_sum = Fraction(*_ratio_sum([(c, v + k) for v, c in counts]))
+    s_num, s_den = _ratio_sum([(c, v + k) for v, c in counts])
     shift = 2 * k - 4
     t_terms = [(c * (c - 1) // 2, 2 * v + shift) for v, c in counts if c > 1]
     t_terms += [
@@ -380,15 +389,21 @@ def _lemma(theorem_id: str, k: int, d_max: int, xs: Iterable[int]) -> BoundCheck
         for (v, cv), (w, cw) in itertools.combinations(counts, 2)
     ]
     t_num, t_den = _ratio_sum(t_terms)
+    lhs = Fraction(s_num, s_den)
 
-    def times_t(num: int, den: int) -> Fraction:
-        return Fraction(num * t_num, den * t_den)
+    def bound(name: str, num: int, den: int, kind: str) -> BoundCheckResult:
+        """S against (num/den) T: "upper" is S <= rhs, "lower" is S >= rhs."""
+        r_num, r_den = num * t_num, den * t_den
+        gap = r_num * s_den - s_num * r_den  # sign of rhs - S
+        slack = gap if kind == "upper" else -gap
+        return BoundCheckResult(name, lhs, Fraction(r_num, r_den), slack >= 0, gap == 0,
+                                Fraction(slack, r_den * s_den))
 
     parts = [
-        _compare("T10.lemma_lower", s_sum, times_t(2, k - 1), "lower"),
-        _compare("T10.lemma_upper", s_sum, times_t(2 * (d_max + 2 * k - 3), k * k - 1), "upper"),
-        _compare("T10.corollary_lower", s_sum, times_t(2, d_max - 1), "lower"),
-        _compare("T10.corollary_upper", s_sum, times_t(d_max + 3, 4), "upper"),
+        bound("T10.lemma_lower", 2, k - 1, "lower"),
+        bound("T10.lemma_upper", 2 * (d_max + 2 * k - 3), k * k - 1, "upper"),
+        bound("T10.corollary_lower", 2, d_max - 1, "lower"),
+        bound("T10.corollary_upper", d_max + 3, 4, "upper"),
     ]
     return _combine(theorem_id, parts)
 

@@ -40,6 +40,36 @@ def brute_canonical_key(g: Graph) -> str:
     return f"{g.n}:{best or ''}"
 
 
+def graph6_oracle(s: str) -> Graph | tuple[str, int]:
+    """Decode short-form graph6 one bit at a time: the graph, or the
+    (reason, byte offset) of the first fault, checked in the order size byte,
+    payload length, payload bytes, padding bits."""
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    if not s:
+        return "empty graph6 string", 0
+    if s[0] == "~":
+        return "extended graph6 forms (n > 62) are not supported", 0
+    if not "?" <= s[0] <= "}":
+        return f"size byte {s[0]!r} out of range", 0
+    n = ord(s[0]) - 63
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    need = (len(pairs) + 5) // 6
+    if len(s) - 1 < need:
+        return f"truncated payload: need {need} bytes for n={n}, got {len(s) - 1}", len(s)
+    if len(s) - 1 > need:
+        return "trailing garbage after payload", 1 + need
+    bits = []
+    for pos in range(1, len(s)):
+        value = ord(s[pos]) - 63
+        if not 0 <= value <= 63:
+            return f"payload byte {s[pos]!r} out of range", pos
+        bits.extend((value >> shift) & 1 for shift in range(5, -1, -1))
+    if any(bits[len(pairs):]):
+        return "non-zero padding bits", len(s) - 1
+    return Graph(n, tuple(pair for pair, bit in zip(pairs, bits) if bit))
+
+
 def index_vector_oracle(g: Graph) -> dict[str, Fraction | float | None]:
     """Every index of the README table, one term per edge, in the keys of
     ``IndexVector.as_dict``; GA1 is the correctly rounded sum of per-edge terms."""

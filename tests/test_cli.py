@@ -342,6 +342,51 @@ class TestVerify:
         assert "VIOLATION T1" in capsys.readouterr().out
 
 
+class TestSourcePastTheCap:
+    """``verify --source`` only checks a line with n > 10 on its first pass, so
+    every fault must read as a full decode reports it: same message, line and
+    byte offset, also for an order outside --n-min..--n-max."""
+
+    N11 = "JIW_^GcHPA?"  # n = 11: 10 payload bytes, the last with 5 padding bits
+    N14 = "MgJcwdGa_qg?Eiwm_"  # n = 14: 16 payload bytes
+
+    @pytest.mark.parametrize("n_max", ["62", "10"])
+    @pytest.mark.parametrize("data,message", [
+        (b"!IW_^GcHPA?\n", "line 1: size byte '!' out of range (byte offset 0)"),
+        (b"~IW_^GcHPA?\n",
+         "line 1: extended graph6 forms (n > 62) are not supported (byte offset 0)"),
+        (b"JIW_^GcHPA\n",
+         "line 1: truncated payload: need 10 bytes for n=11, got 9 (byte offset 10)"),
+        (b"JIW_^GcHPA??\n", "line 1: trailing garbage after payload (byte offset 11)"),
+        (b"JIW!^GcHPA?\n", "line 1: payload byte '!' out of range (byte offset 3)"),
+        (b"JIW!^GcHPA@\n", "line 1: payload byte '!' out of range (byte offset 3)"),
+        (b"JIW_^GcHPA@\n", "line 1: non-zero padding bits (byte offset 10)"),
+        (b"JIW_\xe9GcHPA?\n", "line 1: non-ASCII byte 0xe9 (byte offset 4)"),
+        (b">>graph6<<JIW_^GcHPA\n",
+         "line 1: truncated payload: need 10 bytes for n=11, got 9 (byte offset 10)"),
+        (b"JIW_^GcHPA?\nMgJcwdGa_qg?Eiwm_\n\nMgJcwdGa_qg?Eiwm\n",
+         "line 4: truncated payload: need 16 bytes for n=14, got 15 (byte offset 16)"),
+    ], ids=["size_byte", "extended", "truncated", "trailing", "payload_byte",
+            "payload_byte_before_padding", "padding", "non_ascii", "header", "later_line"])
+    def test_errors_as_a_decode_reports_them(self, tmp_path, capsys, data, message, n_max):
+        src, out = tmp_path / "bad.g6", tmp_path / "out.csv"
+        src.write_bytes(data)
+        code = main(["verify", "--theorems", "T1", "--n-min", "1", "--n-max", n_max,
+                     "--source", str(src), "--no-timestamp", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_header_and_duplicate_lines_give_one_record(self, tmp_path):
+        src, out = tmp_path / "dup.g6", tmp_path / "out.json"
+        src.write_text(f">>graph6<<{self.N11}\n{self.N11}\n {self.N11}\n{self.N14}\n")
+        assert main(["verify", "--theorems", "T1", "--n-min", "1", "--n-max", "62",
+                     "--source", str(src), "--no-timestamp", "--out", str(out)]) == 0
+        records = json.loads(out.read_text())["records"]
+        assert [(r["n"], r["graph_key"], r["graph6"]) for r in records] == [
+            (11, self.N11, self.N11), (14, self.N14, self.N14)]
+
+
 def test_numpy_loaded_only_for_delta():
     # Only the exact hyperbolicity search needs numpy; importing the CLI and
     # listing the catalog must not pay for it.

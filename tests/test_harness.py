@@ -155,7 +155,8 @@ class TestRunVerification:
         monkeypatch.setattr(harness, "emit_graph6", counting)
         records = list(verify_records(EnumerationSpec(12, 12, source=str(path)), ("T3",)))
         assert [r.graph_key for r in records] == sorted(r.graph6 for r in records)
-        assert len(calls) <= 2 * len(graphs)
+        # once each, for the record's label: the first pass keys a line by its own text
+        assert len(calls) == len(graphs)
 
     def test_determinism_across_runs(self, tmp_path):
         spec = EnumerationSpec(2, 4, connected_only=True)
@@ -225,8 +226,10 @@ class TestPerRecordLifetime:
         path = self._mixed_source(tmp_path, copies=2)
         records = verify_records(EnumerationSpec(1, 62, source=path), theorems)
         assert sum(1 for _ in records) == 33
-        # 66 lines read, then each of the 33 kept graphs decoded again
-        assert len(built) == 99
+        # 66 lines read: the 58 with n <= 10 are decoded for their canonical
+        # key, the 8 beyond the cap only checked; then each of the 33 kept
+        # graphs is decoded once more
+        assert len(built) == 58 + 33
         # the compute_index_vector cache (two entries) is the most that may hold
         # an earlier graph; the first pass keeps only text
         assert max(alive_at_draw) <= 2

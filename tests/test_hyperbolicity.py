@@ -39,11 +39,11 @@ def lattice_distance(lat, i: int, j: int) -> Fraction | float:
 
 class TestSubdividedDistances:
     def test_antipodal_midpoints_on_c4(self):
-        # hand count on the 8-point lattice: midpoint of (0,1) to midpoint of (2,3)
-        lat = subdivided_distances(cycle_graph(4), 2)
+        # hand count on the 16-point lattice: midpoint of (0,1) to midpoint of (2,3)
+        lat = subdivided_distances(cycle_graph(4), 4)
         i = lat.points.index(MetricPoint((0, 1), Fraction(1, 2)))
         j = lat.points.index(MetricPoint((2, 3), Fraction(1, 2)))
-        assert len(lat.points) == 8
+        assert len(lat.points) == 16
         assert lattice_distance(lat, i, j) == 2
 
     def test_adjacent_vertices_at_distance_one(self):
@@ -57,12 +57,20 @@ class TestSubdividedDistances:
 
     def test_disconnected_pairs_infinite(self):
         g = disjoint_union(path_graph(2), path_graph(2))
-        lat = subdivided_distances(g, 2)
+        lat = subdivided_distances(g, 4)
         assert lattice_distance(lat, 0, 2) == float("inf")
 
     def test_bad_granularity(self):
         with pytest.raises(ValueError, match="granularity"):
             subdivided_distances(path_graph(2), 3)
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_cycles_exact_at_supported_granularities_and_2_refused(self, n):
+        # delta(C_n) = n/4; the k = 2 lattice sampled C5 as 1 and C7 as 3/2
+        for k in (4, 8):
+            assert hyperbolicity_constant(cycle_graph(n), granularity=k).delta == Fraction(n, 4)
+        with pytest.raises(ValueError, match="granularity must be one of"):
+            hyperbolicity_constant(cycle_graph(n), granularity=2)
 
     @given(connected_graphs(max_n=6))
     @settings(max_examples=25)
@@ -74,7 +82,7 @@ class TestSubdividedDistances:
             for v in range(g.n):
                 assert lattice_distance(lat, src, v) == dist[v]
 
-    @given(graphs(max_n=6), st.sampled_from([2, 4, 8]))
+    @given(graphs(max_n=6), st.sampled_from([4, 8]))
     @settings(max_examples=25)
     def test_every_lattice_pair_matches_bfs(self, g, k):
         # possibly disconnected: cross-component pairs must read -1

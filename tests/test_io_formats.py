@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import graphs, write_verified
-from oracles import aggregates_oracle, report_csv_oracle, report_json_oracle
+from oracles import aggregates_oracle, graph6_oracle, report_csv_oracle, report_json_oracle
 from topoline.graph_core import (
     Graph,
     canonical_form,
@@ -42,10 +42,10 @@ from topoline.theorems import GRAPH_CHECKS, BoundCheckResult
 
 
 @st.composite
-def graph6_like(draw):
-    """A size byte for n <= 12, then about the needed number of payload
+def graph6_like(draw, max_n: int = 12):
+    """A size byte for n <= ``max_n``, then about the needed number of payload
     characters near the graph6 range (63..126), so that many strings decode."""
-    n = draw(st.integers(0, 12))
+    n = draw(st.integers(0, max_n))
     need = (n * (n - 1) // 2 + 5) // 6
     size = draw(st.sampled_from([need, need, need, max(need - 1, 0), need + 1]))
     alphabet = st.characters(min_codepoint=60, max_codepoint=128)
@@ -158,6 +158,20 @@ class TestGraph6:
             assert all(isinstance(g, Graph) for g in read_graph6_text(path, text))
         except Graph6Error:
             pass
+
+    @given(st.one_of(
+        st.text(max_size=40),
+        graph6_like(max_n=62),
+        graph6_like(max_n=62).map(">>graph6<<".__add__),
+        st.text("?@_~", max_size=12).map(lambda payload: "K" + payload),  # n = 12: 11 bytes
+    ))
+    def test_matches_bitwise_oracle(self, text):
+        # the same graph, or the same first fault at the same byte offset
+        try:
+            result = parse_graph6(text)
+        except Graph6Error as exc:
+            result = (exc.reason, exc.offset)
+        assert result == graph6_oracle(text)
 
     @given(graphs(min_n=0, max_n=10))
     def test_round_trip_identity(self, g):
