@@ -47,6 +47,7 @@ import functools
 import itertools
 import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Union
@@ -84,7 +85,11 @@ class BoundCheckResult:
 
     ``branches`` carries sub-inequalities or per-branch values (e.g. the three
     T1 expressions) for auditability; ``satisfied`` on the top-level result is
-    the conjunction over all mandatory sub-checks.
+    the conjunction over all mandatory sub-checks.  It is a tuple, except on
+    :func:`check_T10_on_graph`'s result, where it is a read-only sequence of
+    the per-vertex results, built on first iteration or indexing (``len()``
+    builds nothing).  The JSON report (``io_formats._check_json``) and the
+    tests are its only readers, so a CSV report never builds them.
     """
 
     theorem_id: str
@@ -95,7 +100,7 @@ class BoundCheckResult:
     slack: Value | None
     applicable: bool = True
     reason: str = ""
-    branches: tuple["BoundCheckResult", ...] = ()
+    branches: Sequence["BoundCheckResult"] = ()
 
     def __post_init__(self) -> None:
         if self.equality and not self.satisfied:
@@ -371,15 +376,21 @@ def check_T10_lemma(inst: LemmaInstance) -> BoundCheckResult:
     """Evaluate the lemma with S and T summed over the distinct entries v,
     each with its count c_v: S = sum c_v/(v+k) and
     T = sum_{v<w} c_v c_w/(v+w+2k-4) + sum_v C(c_v, 2)/(2v+2k-4)."""
-    return _lemma("T10", inst.k, inst.max_degree, inst.xs)
+    return _lemma_result("T10", *_lemma_ints(inst.k, inst.max_degree, inst.xs))
 
 
-def _lemma(theorem_id: str, k: int, d_max: int, xs: Iterable[int]) -> BoundCheckResult:
-    """:func:`check_T10_lemma` on a tuple known to be valid, named ``theorem_id``.
+#: One bound of the lemma on integers: (name, r_num, r_den, slack_num, tight)
+#: for the bound r = r_num/r_den, whose slack is slack_num/(r_den s_den).
+_LemmaBound = tuple[str, int, int, int, bool]
+
+
+def _lemma_ints(k: int, d_max: int, xs: Iterable[int]) -> tuple[int, int, list[_LemmaBound]]:
+    """The lemma on a tuple known to be valid, as integers: S = s_num/s_den
+    and its four bounds.
 
     S and T stay integer fractions over positive denominators, so each bound
-    c T against S is decided by the sign of one cross-multiplication, and the
-    :class:`Fraction` sides and slack are built once each, already exact."""
+    c T against S is decided by the sign of one cross-multiplication; nothing
+    is reduced and no :class:`Fraction` is built."""
     counts = Counter(xs).items()
     s_num, s_den = _ratio_sum([(c, v + k) for v, c in counts])
     shift = 2 * k - 4
@@ -389,36 +400,82 @@ def _lemma(theorem_id: str, k: int, d_max: int, xs: Iterable[int]) -> BoundCheck
         for (v, cv), (w, cw) in itertools.combinations(counts, 2)
     ]
     t_num, t_den = _ratio_sum(t_terms)
-    lhs = Fraction(s_num, s_den)
-
-    def bound(name: str, num: int, den: int, kind: str) -> BoundCheckResult:
-        """S against (num/den) T: "upper" is S <= rhs, "lower" is S >= rhs."""
+    bounds = []
+    # S against (num/den) T: an upper bound is S <= rhs, a lower one S >= rhs
+    for name, num, den, upper in (
+        ("T10.lemma_lower", 2, k - 1, False),
+        ("T10.lemma_upper", 2 * (d_max + 2 * k - 3), k * k - 1, True),
+        ("T10.corollary_lower", 2, d_max - 1, False),
+        ("T10.corollary_upper", d_max + 3, 4, True),
+    ):
         r_num, r_den = num * t_num, den * t_den
         gap = r_num * s_den - s_num * r_den  # sign of rhs - S
-        slack = gap if kind == "upper" else -gap
-        return BoundCheckResult(name, lhs, Fraction(r_num, r_den), slack >= 0, gap == 0,
-                                Fraction(slack, r_den * s_den))
+        bounds.append((name, r_num, r_den, gap if upper else -gap, gap == 0))
+    return s_num, s_den, bounds
 
-    parts = [
-        bound("T10.lemma_lower", 2, k - 1, "lower"),
-        bound("T10.lemma_upper", 2 * (d_max + 2 * k - 3), k * k - 1, "upper"),
-        bound("T10.corollary_lower", 2, d_max - 1, "lower"),
-        bound("T10.corollary_upper", d_max + 3, 4, "upper"),
-    ]
-    return _combine(theorem_id, parts)
+
+def _lemma_result(theorem_id: str, s_num: int, s_den: int,
+                  bounds: list[_LemmaBound]) -> BoundCheckResult:
+    """The lemma's result named ``theorem_id``, built from :func:`_lemma_ints`."""
+    lhs = Fraction(s_num, s_den)
+    return _combine(theorem_id, [
+        BoundCheckResult(name, lhs, Fraction(r_num, r_den), slack >= 0, tight,
+                         Fraction(slack, r_den * s_den))
+        for name, r_num, r_den, slack, tight in bounds
+    ])
+
+
+class _VertexLemmas(Sequence):
+    """T10's per-vertex results ``T10.vertex{u}``, built from the kept
+    integers on first access and then held; ``len()`` builds nothing."""
+
+    __slots__ = ("_kept", "_built")
+
+    def __init__(self, kept: list[tuple[int, int, int, list[_LemmaBound]]]) -> None:
+        self._kept = kept  # (u, s_num, s_den, bounds) per vertex of degree >= 3
+        self._built: tuple[BoundCheckResult, ...] | None = None
+
+    def _results(self) -> tuple[BoundCheckResult, ...]:
+        if self._built is None:
+            self._built = tuple(_lemma_result(f"T10.vertex{u}", s_num, s_den, bounds)
+                                for u, s_num, s_den, bounds in self._kept)
+        return self._built
+
+    def __len__(self) -> int:
+        return len(self._kept)
+
+    def __getitem__(self, i):
+        return self._results()[i]
+
+    def __iter__(self):
+        return iter(self._results())
 
 
 @_check("T10")
 def check_T10_on_graph(g: Graph, st: DegreeStats) -> BoundCheckResult:
-    """Instantiate the lemma at every vertex of degree >= 3 (k = d_u, xs = neighbor degrees)."""
-    degrees = g.degrees
-    parts = [
-        _lemma(f"T10.vertex{u}", degrees[u], st.max_degree, (degrees[v] for v in g.adjacency[u]))
+    """Instantiate the lemma at every vertex of degree >= 3 (k = d_u, xs = neighbor degrees).
+
+    The result is decided from the integers alone, as :func:`_combine` would
+    decide it over the per-vertex results: the binding bound is the first
+    least slack, keyed by ``slack_num / (r_den * s_den)``, which int/int true
+    division rounds correctly and so equals ``float`` of the slack.  Only the
+    binding bound's sides and slack become :class:`Fraction`s; the per-vertex
+    results wait in ``branches`` for a reader."""
+    degrees, adjacency = g.degrees, g.adjacency
+    kept = [
+        (u, *_lemma_ints(degrees[u], st.max_degree, (degrees[v] for v in adjacency[u])))
         for u in range(g.n) if degrees[u] >= 3
     ]
-    if not parts:
+    if not kept:
         return _not_applicable("T10", "no vertex of degree >= 3")
-    return _combine("T10", parts)
+    flat = [(s_num, s_den, b) for _, s_num, s_den, bounds in kept for b in bounds]
+    satisfied = all(b[3] >= 0 for _, _, b in flat)
+    equality = satisfied and any(b[4] for _, _, b in flat)
+    s_num, s_den, (_, r_num, r_den, slack, _) = min(
+        flat, key=lambda e: e[2][3] / (e[2][2] * e[1]))
+    return BoundCheckResult("T10", Fraction(s_num, s_den), Fraction(r_num, r_den), satisfied,
+                            equality, Fraction(slack, r_den * s_den),
+                            branches=_VertexLemmas(kept))
 
 
 @_check("T11", needs="non_trivial")

@@ -283,6 +283,113 @@ class TestT10AgainstPairSumOracle:
         assert check_to_dict(check_T10_lemma(inst)) == check_to_dict(expected)
 
 
+def _t10_by_combine(r):
+    """T10 as the nested _combine over its per-vertex results decides it."""
+    return check_to_dict(_combine("T10", list(r.branches)))
+
+
+_PETERSEN = Graph(10, tuple((i, (i + 1) % 5) for i in range(5))
+                  + tuple((5 + i, 5 + (i + 2) % 5) for i in range(5))
+                  + tuple((i, i + 5) for i in range(5)))
+
+
+def _cycle_with_chords(n, step):
+    """The cycle C_n plus every chord {i, i + step mod n}: a regular graph."""
+    chords = {tuple(sorted((i, (i + step) % n))) for i in range(n)}
+    return Graph(n, tuple(sorted(set(cycle_graph(n).edges) | chords)))
+
+
+class TestT10IntegerPath:
+    """check_T10_on_graph decides satisfied, equality and the binding bound
+    from integers; the nested _combine over its branches is the reference
+    (TestT10Exhaustive also compares them on every connected graph, n <= 7)."""
+
+    @given(st.integers(12, 40), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40)
+    def test_gnp_draws_past_the_cap(self, n, seed):
+        from topoline.harness import sample_gnp
+
+        r = check_T10_on_graph(sample_gnp(n, Fraction(5, n - 1), seed))
+        if r.applicable:
+            assert check_to_dict(r) == _t10_by_combine(r)
+
+    @pytest.mark.parametrize("g", [
+        complete_graph(5), _PETERSEN, _cycle_with_chords(6, 3), _cycle_with_chords(8, 4),
+        _cycle_with_chords(12, 3),
+    ], ids=["K5", "petersen", "K33", "wagner", "C12+3-chords"])
+    def test_regular_ties_pin_the_first_vertex(self, g):
+        r = check_T10_on_graph(g)
+        assert len(set(g.degrees)) == 1 and len(r.branches) == g.n
+        assert len({(b.lhs, b.rhs, b.slack) for b in r.branches}) == 1  # every vertex ties
+        assert check_to_dict(r) == _t10_by_combine(r)
+        first = r.branches[0]
+        assert first.theorem_id == "T10.vertex0"
+        assert (r.lhs, r.rhs, r.slack) == (first.lhs, first.rhs, first.slack)
+
+    @given(st.integers(-2**200, 2**200), st.integers(1, 2**200))
+    def test_int_division_is_float_of_the_fraction(self, a, b):
+        # the binding key slack_num / (r_den * s_den) is taken unreduced
+        assert a / b == float(Fraction(a, b))
+
+    @given(st.integers(-2**100, 2**100), st.integers(1, 2**100), st.integers(1, 2**100))
+    def test_int_division_unreduced(self, a, b, c):
+        assert (a * c) / (b * c) == float(Fraction(a, b))
+
+
+class TestT10LazyBranches:
+    """The per-vertex T10 results are built only when a report writes them."""
+
+    @pytest.fixture
+    def vertex_builds(self, monkeypatch):
+        import topoline.theorems as theorems
+
+        built = []
+        real = theorems._lemma_result
+
+        def spy(theorem_id, *args):
+            if theorem_id.startswith("T10.vertex"):
+                built.append(theorem_id)
+            return real(theorem_id, *args)
+
+        monkeypatch.setattr(theorems, "_lemma_result", spy)
+        return built
+
+    @staticmethod
+    def _source(tmp_path):
+        from topoline.harness import EnumerationSpec, sample_gnp
+        from topoline.io_formats import emit_graph6
+
+        graphs = [sample_gnp(30, Fraction(5, 29), seed) for seed in range(4)]
+        path = tmp_path / "g30.g6"
+        path.write_text("".join(emit_graph6(g) + "\n" for g in graphs))
+        hubs = sum(d >= 3 for g in graphs for d in g.degrees)
+        return EnumerationSpec(1, 62, source=str(path)), hubs
+
+    def test_len_builds_nothing(self, vertex_builds):
+        r = check_T10_on_graph(_PETERSEN)
+        assert len(r.branches) == 10 and r.branches
+        assert vertex_builds == []
+        assert [b.theorem_id for b in r.branches] == [f"T10.vertex{u}" for u in range(10)]
+        list(r.branches)
+        assert len(vertex_builds) == 10
+
+    def test_csv_builds_no_vertex_result(self, tmp_path, vertex_builds):
+        from conftest import write_verified
+
+        spec, hubs = self._source(tmp_path)
+        assert hubs > 0
+        write_verified(tmp_path, spec, ("T10",), fmt="csv")
+        assert vertex_builds == []
+
+    def test_json_builds_each_vertex_result_once(self, tmp_path, vertex_builds):
+        from conftest import write_verified
+
+        spec, hubs = self._source(tmp_path)
+        report, _ = write_verified(tmp_path, spec, ("T10",), fmt="json")
+        assert len(vertex_builds) == hubs
+        assert report.count(b'"theorem_id": "T10.vertex') == hubs
+
+
 class TestT11:
     def test_p4_lower_tight(self):
         r = check_T11_harmonic_sandwich(path_graph(4))
@@ -315,6 +422,7 @@ class TestT10Exhaustive:
             if r.applicable:
                 checked += 1
                 assert r.satisfied, g
+                assert check_to_dict(r) == _t10_by_combine(r), g  # the integer path
         assert checked > 700  # most connected graphs on <= 7 vertices have a hub
 
 
