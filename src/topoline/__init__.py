@@ -4,23 +4,22 @@ with an executable-theorem verification harness over small graphs."""
 from .graph_core import (
     CANONICAL_CAP,
     CanonicalCapError,
-    ComponentDecomposition,
     ComponentInfo,
-    DegreeStats,
     Graph,
     GraphError,
+    all_regular,
+    all_regular_or_biregular,
     build_graph,
     canonical_form,
-    classify_components,
     complete_bipartite_graph,
     complete_graph,
     components,
     cycle_graph,
-    degree_stats,
     disjoint_union,
     is_connected,
     is_forest,
     is_isomorphic,
+    is_non_trivial,
     path_graph,
     permute,
     star_graph,

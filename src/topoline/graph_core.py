@@ -79,6 +79,16 @@ class Graph:
         return tuple(degs)
 
     @functools.cached_property
+    def max_degree(self) -> int:
+        """Largest vertex degree; 0 for the empty graph."""
+        return max(self.degrees, default=0)
+
+    @functools.cached_property
+    def min_degree(self) -> int:
+        """Smallest vertex degree; 0 for the empty graph."""
+        return min(self.degrees, default=0)
+
+    @functools.cached_property
     def _adj_masks(self) -> tuple[int, ...]:
         masks = [0] * self.n
         for u, v in self.edges:
@@ -161,17 +171,6 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
 # Degrees and components.
 
 @dataclass(frozen=True)
-class DegreeStats:
-    """Degree extremes plus the non-triviality flag (every component >= 2 edges)."""
-
-    n: int
-    m: int
-    max_degree: int
-    min_degree: int
-    is_non_trivial: bool
-
-
-@dataclass(frozen=True)
 class ComponentInfo:
     """One connected component with its classification flags.
 
@@ -186,19 +185,6 @@ class ComponentInfo:
     regular: bool
     biregular: bool
     tree: bool
-
-
-@dataclass(frozen=True)
-class ComponentDecomposition:
-    components: tuple[ComponentInfo, ...]
-
-    @property
-    def all_regular(self) -> bool:
-        return all(c.regular for c in self.components)
-
-    @property
-    def all_regular_or_biregular(self) -> bool:
-        return all(c.regular or c.biregular for c in self.components)
 
 
 def _decompose(g: Graph) -> tuple[ComponentInfo, ...]:
@@ -245,15 +231,17 @@ def is_forest(g: Graph) -> bool:
     return all(c.tree for c in g._components)
 
 
-def degree_stats(g: Graph) -> DegreeStats:
-    if g.n == 0:
-        return DegreeStats(0, 0, 0, 0, True)
-    non_trivial = all(c.edge_count >= 2 for c in g._components)
-    return DegreeStats(g.n, g.m, max(g.degrees), min(g.degrees), non_trivial)
+def is_non_trivial(g: Graph) -> bool:
+    """Every component has at least 2 edges (true for the empty graph)."""
+    return all(c.edge_count >= 2 for c in g._components)
 
 
-def classify_components(g: Graph) -> ComponentDecomposition:
-    return ComponentDecomposition(g._components)
+def all_regular(g: Graph) -> bool:
+    return all(c.regular for c in g._components)
+
+
+def all_regular_or_biregular(g: Graph) -> bool:
+    return all(c.regular or c.biregular for c in g._components)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
@@ -19,8 +19,8 @@ from .graph_core import (
     CANONICAL_CAP,
     Graph,
     canonical_form,
-    degree_stats,
     is_connected,
+    is_non_trivial,
     with_canonical_key,
 )
 from .hyperbolicity import hyperbolicity_constant
@@ -48,15 +48,6 @@ class EnumerationSpec:
     connected_only: bool = False
     non_trivial_only: bool = False
     source: str | None = None  # path to a graph6 file; None = internal enumeration
-
-    def as_dict(self) -> dict:
-        return {
-            "n_min": self.n_min,
-            "n_max": self.n_max,
-            "connected_only": self.connected_only,
-            "non_trivial_only": self.non_trivial_only,
-            "source": self.source,
-        }
 
 
 @dataclass(frozen=True)
@@ -126,10 +117,9 @@ def graph_record(g: Graph, indices: IndexVector | None, checks: Iterable[BoundCh
     """The report record of ``g``; ``key`` defaults to its label, and a "<n=N>"
     label (no graph6 byte is "<") leaves the ``graph6`` field empty."""
     label = graph_label(g)
-    st = degree_stats(g)
     return GraphRecord(
         graph_key=key or label, graph6="" if label.startswith("<") else label,
-        n=st.n, m=st.m, max_degree=st.max_degree, min_degree=st.min_degree,
+        n=g.n, m=g.m, max_degree=g.max_degree, min_degree=g.min_degree,
         indices=indices, checks=tuple(checks), note=note,
     )
 
@@ -177,7 +167,7 @@ def enumerate_graphs(spec: EnumerationSpec) -> Iterator[Graph]:
     for g in pool:
         if spec.connected_only and not is_connected(g):
             continue
-        if spec.non_trivial_only and not degree_stats(g).is_non_trivial:
+        if spec.non_trivial_only and not is_non_trivial(g):
             continue
         yield g
 
@@ -228,7 +218,7 @@ def verification_meta(
     inputs serialize to byte-identical reports.
     """
     return ReportMeta(
-        timestamp=timestamp, seed=seed, spec=spec.as_dict(), theorems=_normalize_theorems(theorems)
+        timestamp=timestamp, seed=seed, spec=asdict(spec), theorems=_normalize_theorems(theorems)
     )
 
 

@@ -25,10 +25,8 @@ class IsolatedVertexError(ValueError):
 
 
 def _require_no_isolated(g: Graph) -> None:
-    if g.n == 0:
-        return
-    isolated = [v for v, d in enumerate(g.degrees) if d == 0]
-    if isolated:
+    if g.n and g.min_degree == 0:
+        isolated = [v for v, d in enumerate(g.degrees) if d == 0]
         raise IsolatedVertexError(
             f"isolated vertices {isolated}: every component needs at least one edge"
         )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
 
-from .graph_core import Graph, GraphError, classify_components
+from .graph_core import Graph, GraphError
 
 
 class TrivialComponentError(GraphError):
@@ -32,7 +32,7 @@ class LineGraphResult:
 @functools.lru_cache(maxsize=1)
 def line_graph(g: Graph) -> LineGraphResult:
     """Construct L(g): one vertex per edge, adjacent iff the edges share an endpoint."""
-    for comp in classify_components(g).components:
+    for comp in g._components:
         if comp.edge_count < 2:
             raise TrivialComponentError(
                 f"non-trivial graph required: component {comp.vertices} "

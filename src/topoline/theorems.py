@@ -53,18 +53,14 @@ from fractions import Fraction
 from typing import Callable, Iterable, Union
 
 from .graph_core import (
-    DegreeStats,
     Graph,
-    classify_components,
-    degree_stats,
+    all_regular,
+    all_regular_or_biregular,
     is_connected,
     is_forest,
+    is_non_trivial,
 )
-from .hyperbolicity import (
-    DEFAULT_VERTEX_CAP,
-    HyperbolicityCapError,
-    hyperbolicity_constant,
-)
+from .hyperbolicity import HyperbolicityCapError, hyperbolicity_constant
 from .indices import IndexVector, _ratio_sum, compute_index_vector, exact_sqrt
 from .line_graph import line_graph
 
@@ -167,15 +163,15 @@ def _combine(theorem_id: str, parts: list[BoundCheckResult], reason: str = "") -
 _LEVELS = ("standing", "non_trivial", "cyclic")
 
 
-def _unmet(g: Graph, st: DegreeStats, level: int) -> str:
+def _unmet(g: Graph, level: int) -> str:
     """Why ``g`` fails the precondition level, or "" if it meets it."""
     if g.n == 0:
         return "empty graph"
     if g.m == 0:
         return "no edges"
-    if st.min_degree == 0:
+    if g.min_degree == 0:
         return "isolated vertex violates the standing assumption"
-    if level >= 1 and not st.is_non_trivial:
+    if level >= 1 and not is_non_trivial(g):
         return "trivial graph (a component has fewer than 2 edges)"
     if level >= 2:
         if not is_connected(g):
@@ -188,20 +184,19 @@ def _unmet(g: Graph, st: DegreeStats, level: int) -> str:
 def _check(theorem_id: str, needs: str = "standing"):
     """Register a graph check in GRAPH_CHECKS behind its precondition guard.
 
-    The body is called as ``body(g, st, **options)`` with the graph's
-    :class:`DegreeStats` only when ``g`` meets ``needs``; otherwise the check
-    returns a not-applicable result naming the first unmet hypothesis.
+    The body is called as ``body(g)`` only when ``g`` meets ``needs``;
+    otherwise the check returns a not-applicable result naming the first
+    unmet hypothesis.
     """
     level = _LEVELS.index(needs)
 
     def decorate(body):
         @functools.wraps(body)
-        def check(g: Graph, **options) -> BoundCheckResult:
-            st = degree_stats(g)
-            reason = _unmet(g, st, level)
+        def check(g: Graph) -> BoundCheckResult:
+            reason = _unmet(g, level)
             if reason:
                 return _not_applicable(theorem_id, reason)
-            return body(g, st, **options)
+            return body(g)
 
         GRAPH_CHECKS[theorem_id] = check
         return check
@@ -234,8 +229,8 @@ def _t1_expressions(max_degree: int, m: int) -> tuple[Fraction, Fraction, Fracti
 
 
 @_check("T1")
-def check_T1_m1_upper(g: Graph, st: DegreeStats) -> BoundCheckResult:
-    e1, e2, e3 = _t1_expressions(st.max_degree, st.m)
+def check_T1_m1_upper(g: Graph) -> BoundCheckResult:
+    e1, e2, e3 = _t1_expressions(g.max_degree, g.m)
     lhs = compute_index_vector(g).m1
     # only the max binds; per-expression results are recorded for audit
     return replace(
@@ -249,27 +244,27 @@ def check_T1_m1_upper(g: Graph, st: DegreeStats) -> BoundCheckResult:
 
 
 @_check("T2", needs="non_trivial")
-def check_T2_ga_sum(g: Graph, st: DegreeStats) -> BoundCheckResult:
+def check_T2_ga_sum(g: Graph) -> BoundCheckResult:
     lhs = compute_index_vector(g).ga1_value() + _line_indices(g).ga1_value()
-    rhs = max(_t1_expressions(st.max_degree, st.m)) / 2
+    rhs = max(_t1_expressions(g.max_degree, g.m)) / 2
     return _compare("T2", lhs, rhs, "upper")
 
 
 @_check("T3", needs="non_trivial")
-def check_T3_line_identities(g: Graph, st: DegreeStats) -> BoundCheckResult:
+def check_T3_line_identities(g: Graph) -> BoundCheckResult:
     iv = compute_index_vector(g)
     m_line = Fraction(line_graph(g).line_graph.m)
     parts = [
         _compare("T3.line_edges", m_line, iv.platt / 2, "identity"),
-        _compare("T3.platt", iv.platt, iv.m1 - 2 * st.m, "identity"),
-        _compare("T3.edges", Fraction(st.m), (iv.m1 - iv.platt) / 2, "identity"),
+        _compare("T3.platt", iv.platt, iv.m1 - 2 * g.m, "identity"),
+        _compare("T3.edges", Fraction(g.m), (iv.m1 - iv.platt) / 2, "identity"),
     ]
     return _combine("T3", parts)
 
 
 @_check("T4", needs="non_trivial")
-def check_T4_ga_platt(g: Graph, st: DegreeStats) -> BoundCheckResult:
-    d_max, d_min = st.max_degree, st.min_degree
+def check_T4_ga_platt(g: Graph) -> BoundCheckResult:
+    d_max, d_min = g.max_degree, g.min_degree
     iv = compute_index_vector(g)
     ga = iv.ga1_value()
     ga_line = _line_indices(g).ga1_value()
@@ -288,11 +283,9 @@ def check_T4_ga_platt(g: Graph, st: DegreeStats) -> BoundCheckResult:
 
 
 @_check("T5", needs="cyclic")
-def check_T5_ga_hyperbolicity(
-    g: Graph, st: DegreeStats, cap: int = DEFAULT_VERTEX_CAP
-) -> BoundCheckResult:
+def check_T5_ga_hyperbolicity(g: Graph) -> BoundCheckResult:
     try:
-        delta = hyperbolicity_constant(g, cap=cap).delta
+        delta = hyperbolicity_constant(g).delta
     except HyperbolicityCapError as exc:
         return _not_applicable("T5", str(exc))
     return ga_hyperbolicity_bound(g, delta)
@@ -306,8 +299,8 @@ def ga_hyperbolicity_bound(g: Graph, delta: Fraction) -> BoundCheckResult:
 
 
 @_check("T6")
-def check_T6_ga_vs_m1(g: Graph, st: DegreeStats) -> BoundCheckResult:
-    d_max, d_min = st.max_degree, st.min_degree
+def check_T6_ga_vs_m1(g: Graph) -> BoundCheckResult:
+    d_max, d_min = g.max_degree, g.min_degree
     iv = compute_index_vector(g)
     ga = iv.ga1_value()
     c1 = Fraction(1, 2 * d_max)
@@ -323,42 +316,41 @@ def check_T6_ga_vs_m1(g: Graph, st: DegreeStats) -> BoundCheckResult:
 
 
 @_check("T7", needs="non_trivial")
-def check_T7_m1_line_identity(g: Graph, st: DegreeStats) -> BoundCheckResult:
+def check_T7_m1_line_identity(g: Graph) -> BoundCheckResult:
     iv = compute_index_vector(g)
-    rhs = 4 * st.m - 4 * iv.m1 + 2 * iv.m2 + iv.forgotten
+    rhs = 4 * g.m - 4 * iv.m1 + 2 * iv.m2 + iv.forgotten
     return _compare("T7", _line_indices(g).m1, rhs, "identity")
 
 
 @_check("T8", needs="non_trivial")
-def check_T8_ga_line_lower(g: Graph, st: DegreeStats) -> BoundCheckResult:
-    d_max, d_min = st.max_degree, st.min_degree
+def check_T8_ga_line_lower(g: Graph) -> BoundCheckResult:
+    d_max, d_min = g.max_degree, g.min_degree
     iv = compute_index_vector(g)
     lhs = _line_indices(g).ga1_value()
     c1 = Fraction(1, 4 * (d_max - 1))
     c2 = _sqrt_ratio((d_max - 1) * (d_min - 1), (d_max + d_min - 2) ** 2)
-    expr = 4 * st.m - 4 * iv.m1 + 2 * iv.m2 + iv.forgotten
+    expr = 4 * g.m - 4 * iv.m1 + 2 * iv.m2 + iv.forgotten
     return _compare("T8", lhs, min(c1, c2, key=float) * expr, "lower")
 
 
 @_check("T9")
-def check_T9_harmonic_bounds(g: Graph, st: DegreeStats) -> BoundCheckResult:
+def check_T9_harmonic_bounds(g: Graph) -> BoundCheckResult:
     iv = compute_index_vector(g)
-    decomposition = classify_components(g)
+    regular = all_regular(g)
 
-    parts = [_compare("T9.order_bound", iv.harmonic, Fraction(st.n, 2), "upper")]
-    order_equality_ok = parts[0].equality == decomposition.all_regular
+    parts = [_compare("T9.order_bound", iv.harmonic, Fraction(g.n, 2), "upper")]
     parts.append(
         BoundCheckResult(
             "T9.order_equality_iff_regular", None, None,
-            satisfied=order_equality_ok, equality=False, slack=None,
-            reason=f"equality={parts[0].equality}, all components regular={decomposition.all_regular}",
+            satisfied=parts[0].equality == regular, equality=False, slack=None,
+            reason=f"equality={parts[0].equality}, all components regular={regular}",
         )
     )
-    if st.is_non_trivial:
+    if is_non_trivial(g):
         hl = _line_indices(g).harmonic
-        line_bound = _compare("T9.line_bound", hl, Fraction(st.m, 2), "upper")
+        line_bound = _compare("T9.line_bound", hl, Fraction(g.m, 2), "upper")
         parts.append(line_bound)
-        flag = decomposition.all_regular_or_biregular
+        flag = all_regular_or_biregular(g)
         parts.append(
             BoundCheckResult(
                 "T9.line_equality_iff_regular_or_biregular", None, None,
@@ -452,7 +444,7 @@ class _VertexLemmas(Sequence):
 
 
 @_check("T10")
-def check_T10_on_graph(g: Graph, st: DegreeStats) -> BoundCheckResult:
+def check_T10_on_graph(g: Graph) -> BoundCheckResult:
     """Instantiate the lemma at every vertex of degree >= 3 (k = d_u, xs = neighbor degrees).
 
     The result is decided from the integers alone, as :func:`_combine` would
@@ -463,7 +455,7 @@ def check_T10_on_graph(g: Graph, st: DegreeStats) -> BoundCheckResult:
     results wait in ``branches`` for a reader."""
     degrees, adjacency = g.degrees, g.adjacency
     kept = [
-        (u, *_lemma_ints(degrees[u], st.max_degree, (degrees[v] for v in adjacency[u])))
+        (u, *_lemma_ints(degrees[u], g.max_degree, (degrees[v] for v in adjacency[u])))
         for u in range(g.n) if degrees[u] >= 3
     ]
     if not kept:
@@ -479,8 +471,8 @@ def check_T10_on_graph(g: Graph, st: DegreeStats) -> BoundCheckResult:
 
 
 @_check("T11", needs="non_trivial")
-def check_T11_harmonic_sandwich(g: Graph, st: DegreeStats) -> BoundCheckResult:
-    d_max = st.max_degree
+def check_T11_harmonic_sandwich(g: Graph) -> BoundCheckResult:
+    d_max = g.max_degree
     if d_max < 3:
         lo, hi = Fraction(8, 11), Fraction(1)
     elif d_max <= 4:

@@ -119,6 +119,46 @@ def evaluate_vdb_index(g: Graph, f) -> Fraction | float:
     return sum(f(d[u], d[v]) for u, v in g.edges)
 
 
+def degree_component_oracle(g: Graph) -> dict[str, int | bool]:
+    """The degree extremes and the all-components flags from ``g.n`` and
+    ``g.edges`` alone, the components found by union-find.
+
+    A component is regular when all its degrees are equal, biregular when it
+    has exactly two degrees and every edge joins one of each, and trivial when
+    it has fewer than 2 edges."""
+    parent = list(range(g.n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    d = [0] * g.n
+    for u, v in g.edges:
+        d[u] += 1
+        d[v] += 1
+        parent[find(u)] = find(v)
+    degree_sets: dict[int, set[int]] = {}
+    for v in range(g.n):
+        degree_sets.setdefault(find(v), set()).add(d[v])
+    edges_of: dict[int, list[tuple[int, int]]] = {root: [] for root in degree_sets}
+    for u, v in g.edges:
+        edges_of[find(u)].append((u, v))
+    regular = {root: len(degs) == 1 for root, degs in degree_sets.items()}
+    biregular = {
+        root: len(degs) == 2 and all({d[u], d[v]} == degs for u, v in edges_of[root])
+        for root, degs in degree_sets.items()
+    }
+    return {
+        "max_degree": max(d, default=0),
+        "min_degree": min(d, default=0),
+        "is_non_trivial": all(len(es) >= 2 for es in edges_of.values()),
+        "all_regular": all(regular.values()),
+        "all_regular_or_biregular": all(regular[r] or biregular[r] for r in degree_sets),
+    }
+
+
 def all_edges_degree_equal(g: Graph) -> bool:
     """Symbolic criterion for GA1 = m: every edge joins equal-degree endpoints."""
     degs = g.degrees

@@ -13,11 +13,13 @@ import pytest
 
 from oracles import delta_oracle
 from topoline.graph_core import (
-    classify_components,
+    all_regular,
+    all_regular_or_biregular,
     complete_graph,
     cycle_graph,
     is_forest,
     is_isomorphic,
+    is_non_trivial,
     path_graph,
     star_graph,
 )
@@ -59,9 +61,7 @@ def connected_upto_7():
 
 @pytest.fixture(scope="module")
 def nontrivial_upto_7(connected_upto_7):
-    from topoline.graph_core import degree_stats
-
-    return [g for g in connected_upto_7 if degree_stats(g).is_non_trivial]
+    return [g for g in connected_upto_7 if is_non_trivial(g)]
 
 
 def test_criterion_1_exact_identities(nontrivial_upto_7):
@@ -86,17 +86,14 @@ def test_criterion_2_inequality_suite(connected_upto_7):
 
 
 def test_criterion_3_equality_characterizations(connected_upto_7):
-    from topoline.graph_core import degree_stats
-
     failures = []
     for g in connected_upto_7:
         iv = compute_index_vector(g)
-        decomposition = classify_components(g)
-        if (iv.harmonic == Fraction(g.n, 2)) != decomposition.all_regular:
+        if (iv.harmonic == Fraction(g.n, 2)) != all_regular(g):
             failures.append((emit_graph6(g), "order"))
-        if degree_stats(g).is_non_trivial:
+        if is_non_trivial(g):
             h_line = compute_index_vector(line_graph(g).line_graph).harmonic
-            if (h_line == Fraction(g.m, 2)) != decomposition.all_regular_or_biregular:
+            if (h_line == Fraction(g.m, 2)) != all_regular_or_biregular(g):
                 failures.append((emit_graph6(g), "line"))
     _report(3, "harmonic equality iff regular / regular-or-biregular", failures)
 

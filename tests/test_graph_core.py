@@ -8,27 +8,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
-from oracles import brute_canonical_key
+from oracles import brute_canonical_key, degree_component_oracle
 from topoline.graph_core import (
     CanonicalCapError,
     Graph,
     GraphError,
+    all_regular,
+    all_regular_or_biregular,
     build_graph,
     canonical_form,
-    classify_components,
     complete_bipartite_graph,
     complete_graph,
     components,
     cycle_graph,
-    degree_stats,
     disjoint_union,
     is_connected,
     is_forest,
     is_isomorphic,
+    is_non_trivial,
     path_graph,
     permute,
     star_graph,
 )
+from topoline.harness import _all_graphs
 from topoline.line_graph import line_graph
 
 
@@ -72,39 +74,37 @@ class TestBuildGraph:
 
 class TestDegreeStats:
     def test_star(self):
-        st_ = degree_stats(star_graph(4))
-        assert (st_.max_degree, st_.min_degree, st_.n, st_.m) == (3, 1, 4, 3)
-        assert st_.is_non_trivial
+        g = star_graph(4)
+        assert (g.max_degree, g.min_degree, g.n, g.m) == (3, 1, 4, 3)
+        assert is_non_trivial(g)
 
     def test_single_edge_is_trivial(self):
-        st_ = degree_stats(path_graph(2))
-        assert (st_.max_degree, st_.min_degree, st_.m) == (1, 1, 1)
-        assert not st_.is_non_trivial
+        g = path_graph(2)
+        assert (g.max_degree, g.min_degree, g.m) == (1, 1, 1)
+        assert not is_non_trivial(g)
 
     def test_disjoint_union_c4_p3(self):
         g = disjoint_union(cycle_graph(4), path_graph(3))
-        st_ = degree_stats(g)
-        assert (st_.max_degree, st_.min_degree) == (2, 1)
-        assert st_.is_non_trivial
+        assert (g.max_degree, g.min_degree) == (2, 1)
+        assert is_non_trivial(g)
 
     def test_empty_graph_degree_extremes(self):
-        st_ = degree_stats(Graph(0))
-        assert (st_.max_degree, st_.min_degree) == (0, 0)
+        assert (Graph(0).max_degree, Graph(0).min_degree) == (0, 0)
 
 
 class TestClassifyComponents:
     def test_c5_regular_cycle(self):
-        info = classify_components(cycle_graph(5)).components[0]
+        info = cycle_graph(5)._components[0]
         assert info.regular and not info.biregular and not info.tree
 
     def test_s4_biregular_tree(self):
-        info = classify_components(star_graph(4)).components[0]
+        info = star_graph(4)._components[0]
         assert info.biregular and info.tree
         assert not info.regular
 
     def test_p4_neither_regular_nor_biregular(self):
         # edge (1, 2) joins two degree-2 vertices while the degree set is {1, 2}
-        info = classify_components(path_graph(4)).components[0]
+        info = path_graph(4)._components[0]
         assert not info.regular and not info.biregular
         assert info.tree
 
@@ -115,7 +115,7 @@ class TestClassifyComponents:
 
     @given(graphs())
     def test_regular_and_biregular_disjoint(self, g):
-        for info in classify_components(g).components:
+        for info in g._components:
             assert not (info.regular and info.biregular)
 
     @given(graphs(min_n=1, max_n=9))
@@ -127,10 +127,10 @@ class TestClassifyComponents:
         assert components(g) == tuple(expected)
         assert is_connected(g) == nx.is_connected(h)
         assert is_forest(g) == nx.is_forest(h)
-        infos = classify_components(g).components
+        infos = g._components
         edge_counts = [h.subgraph(c).number_of_edges() for c in expected]
         assert [info.edge_count for info in infos] == edge_counts
-        assert degree_stats(g).is_non_trivial == all(mc >= 2 for mc in edge_counts)
+        assert is_non_trivial(g) == all(mc >= 2 for mc in edge_counts)
         for info in infos:
             sub = h.subgraph(info.vertices)
             degrees = {d for _, d in sub.degree()}
@@ -138,6 +138,19 @@ class TestClassifyComponents:
             joins = {frozenset((sub.degree(u), sub.degree(v))) for u, v in sub.edges()}
             biregular = len(degrees) == 2 and joins == {frozenset(degrees)}
             assert info.biregular == biregular
+
+
+def test_degree_and_component_facts_match_oracle_up_to_7():
+    pool = [g for n in range(8) for g in _all_graphs(n)]
+    assert len(pool) == 1253 and pool[0] == Graph(0)
+    for g in pool:
+        assert {
+            "max_degree": g.max_degree,
+            "min_degree": g.min_degree,
+            "is_non_trivial": is_non_trivial(g),
+            "all_regular": all_regular(g),
+            "all_regular_or_biregular": all_regular_or_biregular(g),
+        } == degree_component_oracle(g), g.edges
 
 
 def _circulant(n: int, jumps: tuple[int, ...]) -> Graph:

@@ -131,7 +131,7 @@ class TestT5:
         assert not r.applicable and "tree" in r.reason
 
     def test_cap_not_applicable(self):
-        r = check_T5_ga_hyperbolicity(cycle_graph(8), cap=6)
+        r = check_T5_ga_hyperbolicity(cycle_graph(9))
         assert not r.applicable and "cap" in r.reason
 
 
