@@ -28,7 +28,6 @@ from .harness import (
     ENUMERATION_CAP,
     EnumerationCapError,
     EnumerationSpec,
-    ExtremalQuery,
     enumerate_graphs,
     enumerate_trees,
     extremal_search,
@@ -63,7 +62,7 @@ from .io_formats import (
     read_graph_file,
     write_report,
 )
-from .line_graph import LineGraphResult, TrivialComponentError, line_graph
+from .line_graph import TrivialComponentError, line_graph
 from .theorems import (
     GRAPH_CHECKS,
     THEOREM_IDS,

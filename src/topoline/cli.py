@@ -12,7 +12,6 @@ from datetime import datetime, timezone
 from .harness import (
     ENUMERATION_CAP,
     EnumerationSpec,
-    ExtremalQuery,
     enumerate_graphs,
     extremal_search,
     graph_label,
@@ -26,7 +25,7 @@ from .hyperbolicity import (
     hyperbolicity_constant,
     hyperbolicity_upper_bound,
 )
-from .indices import IsolatedVertexError, compute_index_vector
+from .indices import INDEX_NAMES, IsolatedVertexError, compute_index_vector
 from .io_formats import (
     EdgeListError,
     Graph6Error,
@@ -46,7 +45,7 @@ VIOLATIONS_FOUND = 1
 def _cmd_compute(args) -> int:
     graphs = read_graph_file(args.infile, args.format)
     if args.line_graph:
-        graphs = (line_graph(g).line_graph for g in graphs)
+        graphs = map(line_graph, graphs)
     records = (graph_record(g, compute_index_vector(g)) for g in graphs)
     write_report(ReportMeta(), records, "index_csv" if args.emit == "csv" else "json", args.out)
     return 0
@@ -96,11 +95,7 @@ def _cmd_hyperbolicity(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
-    query = ExtremalQuery(
-        index=args.index, objective=args.objective,
-        graph_class=args.graph_class, n=args.n,
-    )
-    for g, value in extremal_search(query):
+    for g, value in extremal_search(args.index, args.objective, args.graph_class, args.n):
         print(f"{emit_graph6(g)} {format_value(value)}")
     return 0
 
@@ -151,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extremal", help="graphs attaining an extremal index value")
     p.add_argument("--index", required=True,
-                   help="m1|m2|forgotten|harmonic|ga1|platt|delta")
+                   help="|".join((*INDEX_NAMES, "delta")))
     p.add_argument("--objective", choices=("max", "min"), required=True)
     p.add_argument("--class", dest="graph_class",
                    choices=("all", "trees", "unicyclic", "connected"), required=True)

@@ -120,7 +120,7 @@ class Graph:
 
 def build_graph(n: int, edge_list: Iterable[Sequence[int]]) -> Graph:
     """Build a :class:`Graph`, rejecting loops and out-of-range vertices."""
-    g = Graph(n, tuple((int(u), int(v)) for u, v in edge_list))
+    g = Graph(n, tuple((u, v) for u, v in edge_list))
     g.degrees  # populate the cache and run the degree-sum guard
     return g
 

@@ -24,7 +24,7 @@ from .graph_core import (
     with_canonical_key,
 )
 from .hyperbolicity import hyperbolicity_constant
-from .indices import IndexVector, IsolatedVertexError, compute_index_vector
+from .indices import INDEX_NAMES, IndexVector, IsolatedVertexError, compute_index_vector
 from .io_formats import (
     GraphRecord,
     ReportMeta,
@@ -48,14 +48,6 @@ class EnumerationSpec:
     connected_only: bool = False
     non_trivial_only: bool = False
     source: str | None = None  # path to a graph6 file; None = internal enumeration
-
-
-@dataclass(frozen=True)
-class ExtremalQuery:
-    index: str
-    objective: str  # "max" | "min"
-    graph_class: str  # "all" | "trees" | "unicyclic" | "connected"
-    n: int
 
 
 def _first_per_key(graphs: Iterable[Graph], key: Callable[[Graph], str | tuple]) -> tuple[Graph, ...]:
@@ -239,16 +231,13 @@ def verify_records(spec: EnumerationSpec, theorems=None) -> Iterator[GraphRecord
         )
 
 
-#: index name -> callable(Graph) -> Fraction | float
-_INDEX_GETTERS = {
-    "m1": lambda g: compute_index_vector(g).m1,
-    "m2": lambda g: compute_index_vector(g).m2,
-    "forgotten": lambda g: compute_index_vector(g).forgotten,
-    "harmonic": lambda g: compute_index_vector(g).harmonic,
-    "ga1": lambda g: compute_index_vector(g).ga1_value(),
-    "platt": lambda g: compute_index_vector(g).platt,
-    "delta": lambda g: hyperbolicity_constant(g).delta,
-}
+def _index_value(g: Graph, index: str) -> Fraction | float:
+    """The value on ``g`` of "delta" or of a name in :data:`INDEX_NAMES`."""
+    if index == "delta":
+        return hyperbolicity_constant(g).delta
+    iv = compute_index_vector(g)
+    return iv.ga1_value() if index == "ga1" else getattr(iv, index)
+
 
 _GRAPH_CLASSES = ("all", "trees", "unicyclic", "connected")
 
@@ -263,27 +252,28 @@ def _class_members(graph_class: str, n: int) -> list[Graph]:
     return pool
 
 
-def extremal_search(q: ExtremalQuery) -> list[tuple[Graph, Fraction | float]]:
-    """All graphs of the class attaining the extremal index value (ties included)."""
-    if q.index not in _INDEX_GETTERS:
-        raise ValueError(
-            f"unknown index {q.index!r}; valid names: {sorted(_INDEX_GETTERS)}"
-        )
-    if q.objective not in ("max", "min"):
-        raise ValueError(f"objective must be 'max' or 'min', got {q.objective!r}")
-    if q.graph_class not in _GRAPH_CLASSES:
-        raise ValueError(f"unknown class {q.graph_class!r}; valid: {_GRAPH_CLASSES}")
-    getter = _INDEX_GETTERS[q.index]
+def extremal_search(index: str, objective: str, graph_class: str,
+                    n: int) -> list[tuple[Graph, Fraction | float]]:
+    """All graphs on ``n`` vertices of ``graph_class`` ("all", "trees",
+    "unicyclic" or "connected") attaining the ``objective`` ("max" or "min")
+    value of ``index`` (see :func:`_index_value`), ties included."""
+    valid = (*INDEX_NAMES, "delta")
+    if index not in valid:
+        raise ValueError(f"unknown index {index!r}; valid names: {sorted(valid)}")
+    if objective not in ("max", "min"):
+        raise ValueError(f"objective must be 'max' or 'min', got {objective!r}")
+    if graph_class not in _GRAPH_CLASSES:
+        raise ValueError(f"unknown class {graph_class!r}; valid: {_GRAPH_CLASSES}")
     values: list[tuple[Graph, Fraction | float]] = []
-    for g in _class_members(q.graph_class, q.n):
+    for g in _class_members(graph_class, n):
         try:
-            values.append((g, getter(g)))
+            values.append((g, _index_value(g, index)))
         except IsolatedVertexError:
             continue  # degree-based indices assume every component has an edge
     if not values:
-        raise ValueError(f"no eligible graphs in class {q.graph_class!r} at n={q.n}")
+        raise ValueError(f"no eligible graphs in class {graph_class!r} at n={n}")
 
-    sign = 1 if q.objective == "max" else -1
+    sign = 1 if objective == "max" else -1
     best = max(sign * v for _, v in values)
     winners = [
         (g, v) for g, v in values if abs(gap := sign * v - best) <= _tolerance(gap)

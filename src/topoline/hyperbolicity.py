@@ -157,12 +157,12 @@ def subdivided_distances(g: Graph, granularity: int) -> SubdividedLattice:
 
 @dataclass(frozen=True, eq=False)
 class GeodesicTriangle:
-    """Witness triangle: ``sides[i]`` joins the two corners other than ``corners[i]``."""
+    """Witness triangle: ``sides[i]`` joins the two corners other than ``corners[i]``,
+    and ``probe`` lies on ``sides[0]``."""
 
     corners: tuple[MetricPoint, MetricPoint, MetricPoint]
     sides: tuple[tuple[MetricPoint, ...], ...]
     probe: MetricPoint
-    probe_side: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,7 +318,7 @@ def _build_witness(lat, D, adj, F, corners, args) -> GeodesicTriangle:
     probe_path = _geodesic_walk(D, adj, a, p) + _geodesic_walk(D, adj, p, b)[1:]
     # an apex equal to a or b makes one far side that single corner
     sides = (pts(probe_path), far_side(b), far_side(a))  # sides[0] joins a-b, opposite the apex
-    return GeodesicTriangle(pts([apex, a, b]), sides, lat.point(p), probe_side=0)
+    return GeodesicTriangle(pts([apex, a, b]), sides, lat.point(p))
 
 
 def _validate_structural_facts(g: Graph, delta: Fraction, diameter: Fraction) -> None:

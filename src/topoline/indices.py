@@ -60,16 +60,9 @@ class IndexVector:
         """Exact geometric-arithmetic value when available, float otherwise."""
         return self.ga1_exact if self.ga1_exact is not None else self.ga1
 
-    def as_dict(self) -> dict[str, Fraction | float | None]:
-        return {
-            "m1": self.m1,
-            "m2": self.m2,
-            "forgotten": self.forgotten,
-            "harmonic": self.harmonic,
-            "ga1": self.ga1,
-            "ga1_exact": self.ga1_exact,
-            "platt": self.platt,
-        }
+
+#: The six indices of :class:`IndexVector`, in the column order of index reports.
+INDEX_NAMES = ("m1", "m2", "forgotten", "harmonic", "ga1", "platt")
 
 
 def _ratio_sum(terms: list[tuple[int, int]]) -> tuple[int, int]:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
 from .graph_core import Graph, build_graph
-from .indices import IndexVector
+from .indices import INDEX_NAMES, IndexVector
 from .theorems import BoundCheckResult
 
 logger = logging.getLogger(__name__)
@@ -340,9 +340,10 @@ def _record_json(rec: GraphRecord) -> str:
     if rec.indices is None:
         indices = "null"
     else:
+        # vars() is exactly the seven fields while IndexVector has no cached property
         indices = "{\n" + ",\n".join(
             f"        {_esc(name)}: {_esc(format_value(value))}"
-            for name, value in sorted(rec.indices.as_dict().items())
+            for name, value in sorted(vars(rec.indices).items())
         ) + "\n      }"
     return (
         f'{{\n      "checks": {checks},\n'
@@ -373,12 +374,9 @@ def _check_rows(rec: GraphRecord) -> list[list]:
     return rows
 
 
-_INDEX_COLUMNS = ("m1", "m2", "forgotten", "harmonic", "ga1", "platt")
-
-
 def _index_rows(rec: GraphRecord) -> list[list]:
     return [[rec.graph_key, rec.n, rec.m, rec.max_degree, rec.min_degree,
-             *(format_value(getattr(rec.indices, name)) for name in _INDEX_COLUMNS)]]
+             *(format_value(getattr(rec.indices, name)) for name in INDEX_NAMES)]]
 
 
 #: CSV tables by report format: (header, rows of one record).  "csv" is the
@@ -386,7 +384,7 @@ def _index_rows(rec: GraphRecord) -> list[list]:
 _CSV_TABLES = {
     "csv": (("graph_key", "n", "m", "max_deg", "min_deg", "theorem_id",
              "lhs", "rhs", "satisfied", "equality", "slack"), _check_rows),
-    "index_csv": (("graph_key", "n", "m", "max_deg", "min_deg", *_INDEX_COLUMNS), _index_rows),
+    "index_csv": (("graph_key", "n", "m", "max_deg", "min_deg", *INDEX_NAMES), _index_rows),
 }
 
 

@@ -213,7 +213,7 @@ def _sqrt_ratio(num_product: int, denom: int) -> Value:
 
 
 def _line_indices(g: Graph) -> IndexVector:
-    return compute_index_vector(line_graph(g).line_graph)
+    return compute_index_vector(line_graph(g))
 
 
 def _t1_expressions(max_degree: int, m: int) -> tuple[Fraction, Fraction, Fraction]:
@@ -253,7 +253,7 @@ def check_T2_ga_sum(g: Graph) -> BoundCheckResult:
 @_check("T3", needs="non_trivial")
 def check_T3_line_identities(g: Graph) -> BoundCheckResult:
     iv = compute_index_vector(g)
-    m_line = Fraction(line_graph(g).line_graph.m)
+    m_line = Fraction(line_graph(g).m)
     parts = [
         _compare("T3.line_edges", m_line, iv.platt / 2, "identity"),
         _compare("T3.platt", iv.platt, iv.m1 - 2 * g.m, "identity"),

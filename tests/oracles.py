@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 from collections import deque
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -70,9 +71,21 @@ def graph6_oracle(s: str) -> Graph | tuple[str, int]:
     return Graph(n, tuple(pair for pair, bit in zip(pairs, bits) if bit))
 
 
+def line_graph_oracle(g: Graph) -> tuple[tuple[int, int], ...]:
+    """The edges of L(g), vertex i standing for ``g.edges[i]``: every pair
+    (i, j), i < j, whose two edges share an endpoint, by a double loop."""
+    return tuple(
+        (i, j)
+        for i, (a, b) in enumerate(g.edges)
+        for j, (c, d) in enumerate(g.edges)
+        if i < j and {a, b} & {c, d}
+    )
+
+
 def index_vector_oracle(g: Graph) -> dict[str, Fraction | float | None]:
     """Every index of the README table, one term per edge, in the keys of
-    ``IndexVector.as_dict``; GA1 is the correctly rounded sum of per-edge terms."""
+    ``dataclasses.asdict`` of an ``IndexVector``; GA1 is the correctly rounded
+    sum of per-edge terms."""
     d = [0] * g.n
     for u, v in g.edges:
         d[u] += 1
@@ -332,7 +345,7 @@ def report_json_oracle(meta, records) -> bytes:
                 "max_deg": rec.max_degree,
                 "min_deg": rec.min_degree,
                 "indices": None if rec.indices is None else {
-                    name: format_value(value) for name, value in rec.indices.as_dict().items()
+                    name: format_value(value) for name, value in asdict(rec.indices).items()
                 },
                 "checks": [check_to_dict(c) for c in rec.checks],
                 "note": rec.note,

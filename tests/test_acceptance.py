@@ -25,7 +25,6 @@ from topoline.graph_core import (
 )
 from topoline.harness import (
     EnumerationSpec,
-    ExtremalQuery,
     enumerate_graphs,
     enumerate_trees,
     extremal_search,
@@ -92,7 +91,7 @@ def test_criterion_3_equality_characterizations(connected_upto_7):
         if (iv.harmonic == Fraction(g.n, 2)) != all_regular(g):
             failures.append((emit_graph6(g), "order"))
         if is_non_trivial(g):
-            h_line = compute_index_vector(line_graph(g).line_graph).harmonic
+            h_line = compute_index_vector(line_graph(g)).harmonic
             if (h_line == Fraction(g.m, 2)) != all_regular_or_biregular(g):
                 failures.append((emit_graph6(g), "line"))
     _report(3, "harmonic equality iff regular / regular-or-biregular", failures)
@@ -155,14 +154,14 @@ def test_criterion_5_hyperbolicity(connected_upto_7):
 def test_criterion_6_line_graph_structure(nontrivial_upto_7):
     failures = []
     for n in range(3, 11):
-        if not is_isomorphic(line_graph(path_graph(n)).line_graph, path_graph(n - 1)):
+        if not is_isomorphic(line_graph(path_graph(n)), path_graph(n - 1)):
             failures.append((f"P{n}", "path"))
-        if not is_isomorphic(line_graph(cycle_graph(n)).line_graph, cycle_graph(n)):
+        if not is_isomorphic(line_graph(cycle_graph(n)), cycle_graph(n)):
             failures.append((f"C{n}", "cycle"))
     for g in nontrivial_upto_7:
-        result = line_graph(g)
-        for (u, v), idx in result.vertex_map.items():
-            if result.line_graph.degrees[idx] != g.degrees[u] + g.degrees[v] - 2:
+        lg = line_graph(g)
+        for idx, (u, v) in enumerate(g.edges):
+            if lg.degrees[idx] != g.degrees[u] + g.degrees[v] - 2:
                 failures.append((emit_graph6(g), "degree", (u, v)))
     _report(6, "line-graph structure and degree identity", failures)
 
@@ -172,7 +171,7 @@ def test_criterion_7_tight_cases(connected_upto_7):
 
     p4 = path_graph(4)
     h_p4 = compute_index_vector(p4).harmonic
-    h_p3 = compute_index_vector(line_graph(p4).line_graph).harmonic
+    h_p3 = compute_index_vector(line_graph(p4)).harmonic
     if not (Fraction(8, 11) * h_p4 == h_p3 == Fraction(4, 3)):
         failures.append(("P4", "8/11 constant"))
 
@@ -220,8 +219,8 @@ def test_criterion_8_graph6_round_trip():
 def test_criterion_9_extremal_trees():
     failures = []
     for n in range(4, 9):
-        top = extremal_search(ExtremalQuery("harmonic", "max", "trees", n))
-        bottom = extremal_search(ExtremalQuery("harmonic", "min", "trees", n))
+        top = extremal_search("harmonic", "max", "trees", n)
+        bottom = extremal_search("harmonic", "min", "trees", n)
         if len(top) != 1 or not is_isomorphic(top[0][0], path_graph(n)):
             failures.append((n, "max not path"))
         if len(bottom) != 1 or not is_isomorphic(bottom[0][0], star_graph(n)):

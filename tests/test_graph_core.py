@@ -59,6 +59,11 @@ class TestBuildGraph:
         with pytest.raises(GraphError, match="non-integer"):
             Graph(3, ((0.0, 1),))
 
+    @pytest.mark.parametrize("pair", [(0.5, 1), ("1", "2")])
+    def test_labels_not_coerced(self, pair):
+        with pytest.raises(GraphError, match="non-integer vertex label"):
+            build_graph(3, [pair])
+
     def test_numpy_integer_labels_accepted(self):
         g = Graph(3, ((np.int64(0), np.int8(1)),))
         assert g.edges == ((0, 1),) and g.degrees == (1, 1, 0)
@@ -244,10 +249,10 @@ class TestCanonicalForm:
 
 class TestIsIsomorphic:
     def test_line_of_p4_is_p3(self):
-        assert is_isomorphic(line_graph(path_graph(4)).line_graph, path_graph(3))
+        assert is_isomorphic(line_graph(path_graph(4)), path_graph(3))
 
     def test_line_of_c5_is_c5(self):
-        assert is_isomorphic(line_graph(cycle_graph(5)).line_graph, cycle_graph(5))
+        assert is_isomorphic(line_graph(cycle_graph(5)), cycle_graph(5))
 
     def test_s4_not_p4(self):
         assert not is_isomorphic(star_graph(4), path_graph(4))

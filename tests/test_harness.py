@@ -16,7 +16,6 @@ from topoline.graph_core import (
 from topoline.harness import (
     EnumerationCapError,
     EnumerationSpec,
-    ExtremalQuery,
     _all_graphs,
     enumerate_graphs,
     enumerate_trees,
@@ -247,38 +246,38 @@ class TestPerRecordLifetime:
 
 class TestExtremalSearch:
     def test_harmonic_max_trees_is_path(self):
-        winners = extremal_search(ExtremalQuery("harmonic", "max", "trees", 6))
+        winners = extremal_search("harmonic", "max", "trees", 6)
         assert len(winners) == 1
         assert is_isomorphic(winners[0][0], path_graph(6))
 
     def test_harmonic_min_trees_is_star(self):
-        winners = extremal_search(ExtremalQuery("harmonic", "min", "trees", 6))
+        winners = extremal_search("harmonic", "min", "trees", 6)
         assert len(winners) == 1
         assert is_isomorphic(winners[0][0], star_graph(6))
 
     def test_ga1_max_connected_n4(self):
         # GA1 <= m with equality iff regular; K4 has the most edges: value 6
-        winners = extremal_search(ExtremalQuery("ga1", "max", "connected", 4))
+        winners = extremal_search("ga1", "max", "connected", 4)
         assert len(winners) == 1
         g, value = winners[0]
         assert g.m == 6 and float(value) == pytest.approx(6.0)
 
     def test_delta_max_connected_n5(self):
-        winners = extremal_search(ExtremalQuery("delta", "max", "connected", 5))
+        winners = extremal_search("delta", "max", "connected", 5)
         assert all(v == Fraction(5, 4) for _, v in winners)
         assert any(is_isomorphic(g, cycle_graph(5)) for g, _ in winners)
 
     def test_unicyclic_class(self):
-        winners = extremal_search(ExtremalQuery("m1", "min", "unicyclic", 5))
+        winners = extremal_search("m1", "min", "unicyclic", 5)
         assert all(g.m == g.n for g, _ in winners)
         assert winners[0][1] == 20  # C5 minimizes M1 among unicyclic on 5 vertices
 
     def test_unknown_index_lists_names(self):
         with pytest.raises(ValueError, match="harmonic"):
-            extremal_search(ExtremalQuery("wiener", "max", "trees", 5))
+            extremal_search("wiener", "max", "trees", 5)
 
     def test_ties_included(self):
-        winners = extremal_search(ExtremalQuery("m1", "max", "trees", 4))
+        winners = extremal_search("m1", "max", "trees", 4)
         assert len(winners) == 1  # star dominates at n=4
         values = [v for _, v in winners]
         assert values == [12]

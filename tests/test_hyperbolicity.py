@@ -251,11 +251,11 @@ def assert_witness_attains(g):
     lat = subdivided_distances(g, result.granularity)
     index = {p: i for i, p in enumerate(lat.points)}
     probe = index[witness.probe]
-    others = [s for i, s in enumerate(witness.sides) if i != witness.probe_side]
+    others = witness.sides[1:]
     union = {index[p] for side in others for p in side}
     value = min(lattice_distance(lat, probe, q) for q in union)
     assert value == result.delta
-    assert witness.probe in witness.sides[witness.probe_side]
+    assert witness.probe in witness.sides[0]
     # each recorded side must be a geodesic between its corners
     for i, side in enumerate(witness.sides):
         corners = [c for j, c in enumerate(witness.corners) if j != i]
