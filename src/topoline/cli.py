@@ -11,6 +11,7 @@ from datetime import datetime, timezone
 
 from .harness import (
     ENUMERATION_CAP,
+    GRAPH_CLASSES,
     EnumerationSpec,
     enumerate_graphs,
     extremal_search,
@@ -148,8 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True,
                    help="|".join((*INDEX_NAMES, "delta")))
     p.add_argument("--objective", choices=("max", "min"), required=True)
-    p.add_argument("--class", dest="graph_class",
-                   choices=("all", "trees", "unicyclic", "connected"), required=True)
+    p.add_argument("--class", dest="graph_class", choices=GRAPH_CLASSES, required=True)
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=_cmd_extremal)
 

@@ -3,13 +3,15 @@
 Internal enumeration produces exactly one representative per isomorphism
 class, ordered by canonical key, by extending each (n-1)-vertex class with
 every possible neighborhood of a new vertex and deduplicating on canonical
-form.  It is deliberately simple and verifiable; the vertex cap (8) keeps the
-cost explicit, and larger runs should feed a graph6 file instead.
+form.  Trees are the same routine with a new leaf as the only neighborhood.
+Each call grows the orders afresh and holds only the last one.  It is
+deliberately simple and verifiable; the vertex cap (8) keeps the cost
+explicit, and larger runs should feed a graph6 file instead.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -50,49 +52,35 @@ class EnumerationSpec:
     source: str | None = None  # path to a graph6 file; None = internal enumeration
 
 
-def _first_per_key(graphs: Iterable[Graph], key: Callable[[Graph], str | tuple]) -> tuple[Graph, ...]:
-    """The first graph seen for each key, in key order."""
-    firsts: dict[str | tuple, Graph] = {}
-    for g in graphs:
-        firsts.setdefault(key(g), g)
-    return tuple(firsts[k] for k in sorted(firsts))
+def _levels(n_max: int, masks: Callable[[int], Iterable[int]],
+            first: Graph) -> Iterator[tuple[Graph, ...]]:
+    """The classes of each order from ``first.n`` to ``n_max``, one level at a
+    time, each in canonical-key order; only the last level is held.  Order
+    n + 1 joins vertex n to each class of order n, in key order, by each
+    neighborhood (a bitmask over 0..n-1) in ``masks(n)``, and keeps the first
+    candidate per key."""
+    level = (first,)
+    yield level
+    for n in range(first.n, n_max):
+        firsts: dict[str, Graph] = {}
+        for parent in level:
+            for mask in masks(n):
+                g = Graph(n + 1, parent.edges + tuple((i, n) for i in range(n) if mask >> i & 1))
+                firsts.setdefault(canonical_form(g), g)
+        level = tuple(firsts[key] for key in sorted(firsts))
+        yield level
 
 
-@functools.lru_cache(maxsize=None)
-def _all_graphs(n: int) -> tuple[Graph, ...]:
-    """All graphs on n vertices up to isomorphism, sorted by canonical key."""
-    if n <= 1:
-        return (Graph(n),)  # GraphError for a negative n
-    new_vertex = n - 1
-    return _first_per_key(
-        (
-            Graph(n, parent.edges + tuple(
-                (i, new_vertex) for i in range(new_vertex) if neighborhood >> i & 1
-            ))
-            for parent in _all_graphs(n - 1)
-            for neighborhood in range(1 << new_vertex)
-        ),
-        canonical_form,
-    )
-
-
-@functools.lru_cache(maxsize=None)
 def enumerate_trees(n: int) -> tuple[Graph, ...]:
-    """All trees on n vertices up to isomorphism (leaf augmentation + dedup)."""
+    """All trees on n vertices up to isomorphism, in canonical-key order: the
+    graphs' routine from one vertex, with a new leaf as the only neighborhood."""
     if n < 1:
         raise ValueError("trees need n >= 1")
     if n > CANONICAL_CAP:
         raise EnumerationCapError(f"tree enumeration caps at n={CANONICAL_CAP}, the canonical-form cap")
-    if n == 1:
-        return (Graph(1),)
-    return _first_per_key(
-        (
-            Graph(n, parent.edges + ((attach, n - 1),))
-            for parent in enumerate_trees(n - 1)
-            for attach in range(n - 1)
-        ),
-        canonical_form,
-    )
+    for trees in _levels(n, lambda k: (1 << i for i in range(k)), Graph(1)):
+        pass
+    return trees
 
 
 def _graph_key(g: Graph) -> str:
@@ -149,13 +137,11 @@ def enumerate_graphs(spec: EnumerationSpec) -> Iterator[Graph]:
         if spec.n_max > ENUMERATION_CAP:
             raise EnumerationCapError(
                 f"internal enumeration caps at n={ENUMERATION_CAP}; "
-                f"pass a graph6 file as the source for larger orders"
+                f"for larger orders, run verify --source on a graph6 file"
             )
-        pool = [
-            g
-            for n in range(spec.n_min, spec.n_max + 1)
-            for g in _all_graphs(n)
-        ]
+        # the levels grow from order 0; Graph raises GraphError for a negative n_min
+        levels = _levels(spec.n_max, lambda k: range(1 << k), Graph(min(spec.n_min, 0)))
+        pool = itertools.chain.from_iterable(itertools.islice(levels, spec.n_min, None))
     for g in pool:
         if spec.connected_only and not is_connected(g):
             continue
@@ -239,7 +225,7 @@ def _index_value(g: Graph, index: str) -> Fraction | float:
     return iv.ga1_value() if index == "ga1" else getattr(iv, index)
 
 
-_GRAPH_CLASSES = ("all", "trees", "unicyclic", "connected")
+GRAPH_CLASSES = ("all", "trees", "unicyclic", "connected")
 
 
 def _class_members(graph_class: str, n: int) -> list[Graph]:
@@ -262,8 +248,8 @@ def extremal_search(index: str, objective: str, graph_class: str,
         raise ValueError(f"unknown index {index!r}; valid names: {sorted(valid)}")
     if objective not in ("max", "min"):
         raise ValueError(f"objective must be 'max' or 'min', got {objective!r}")
-    if graph_class not in _GRAPH_CLASSES:
-        raise ValueError(f"unknown class {graph_class!r}; valid: {_GRAPH_CLASSES}")
+    if graph_class not in GRAPH_CLASSES:
+        raise ValueError(f"unknown class {graph_class!r}; valid: {GRAPH_CLASSES}")
     values: list[tuple[Graph, Fraction | float]] = []
     for g in _class_members(graph_class, n):
         try:

@@ -18,6 +18,7 @@ import errno
 import itertools
 import json
 import logging
+import math
 import os
 import re
 import shutil
@@ -55,13 +56,6 @@ class EdgeListError(ValueError):
 _BAD_PAYLOAD_BYTE = re.compile(r"[^?-~]")  # outside chr(63)..chr(126)
 
 
-def _pair_sequence(n: int):
-    # Column-major upper triangle: (0,1), (0,2), (1,2), (0,3), ...
-    for j in range(1, n):
-        for i in range(j):
-            yield i, j
-
-
 def _check_graph6(s: str) -> tuple[int, str]:
     """The order n of a short-form graph6 string and the string without its
     '>>graph6<<' header, once every check of :func:`parse_graph6` passed;
@@ -95,30 +89,27 @@ def _check_graph6(s: str) -> tuple[int, str]:
 def parse_graph6(s: str) -> Graph:
     """Decode a short-form graph6 string (optional '>>graph6<<' header allowed)."""
     n, s = _check_graph6(s)
-    bits: list[int] = []
-    for ch in s[1:]:
-        value = ord(ch) - 63
-        bits.extend((value >> shift) & 1 for shift in range(5, -1, -1))
-    return build_graph(n, [pair for pair, bit in zip(_pair_sequence(n), bits) if bit])
+    bits = "".join(format(ord(ch) - 63, "06b") for ch in s[1:])
+    edges = []
+    t = bits.find("1")
+    while t >= 0:  # bit t is pair (i, j) with t = j(j-1)/2 + i, i < j
+        j = (1 + math.isqrt(8 * t + 1)) // 2
+        edges.append((t - j * (j - 1) // 2, j))
+        t = bits.find("1", t + 1)
+    return build_graph(n, edges)
 
 
 def emit_graph6(g: Graph) -> str:
     """Encode a graph (n <= 62) as a short-form graph6 string."""
     if g.n > 62:
         raise ValueError(f"graph6 short form supports n <= 62, got n={g.n}")
-    edge_set = set(g.edges)
-    out = [chr(g.n + 63)]
-    acc = 0
-    filled = 0
-    for i, j in _pair_sequence(g.n):
-        acc = (acc << 1) | (1 if (i, j) in edge_set else 0)
-        filled += 1
-        if filled == 6:
-            out.append(chr(acc + 63))
-            acc, filled = 0, 0
-    if filled:
-        out.append(chr((acc << (6 - filled)) + 63))
-    return "".join(out)
+    need = (g.n * (g.n - 1) // 2 + 5) // 6
+    bits = 0  # bit 6 * need - 1 - t holds payload bit t, so the padding stays 0
+    for i, j in g.edges:
+        bits |= 1 << (6 * need - 1 - j * (j - 1) // 2 - i)
+    return chr(g.n + 63) + "".join(
+        chr((bits >> 6 * k & 63) + 63) for k in range(need - 1, -1, -1)
+    )
 
 
 def _graph6_lines(lines: Iterable[str], read: Callable[[str], Any] = parse_graph6) -> Iterator:

@@ -1,10 +1,11 @@
 import itertools
 
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from topoline.graph_core import Graph
-from topoline.harness import verification_meta, verify_records
+from topoline.harness import EnumerationSpec, enumerate_graphs, verification_meta, verify_records
 from topoline.io_formats import write_report
 
 settings.register_profile(
@@ -46,6 +47,14 @@ def connected_graphs(draw, min_n: int = 2, max_n: int = 7):
 def nontrivial_graphs(draw, min_n: int = 3, max_n: int = 7):
     """Connected graphs with at least two edges (n >= 3 suffices)."""
     return draw(connected_graphs(min_n=max(min_n, 3), max_n=max_n))
+
+
+@pytest.fixture(scope="session")
+def graphs_upto_7() -> tuple[Graph, ...]:
+    """Every graph with n <= 7, one per class in (n, key) order: each call of
+    enumerate_graphs grows the levels afresh, so the modules that read them
+    all share one growth."""
+    return tuple(enumerate_graphs(EnumerationSpec(0, 7)))
 
 
 def write_verified(tmp_path, spec, theorems=None, fmt="json") -> tuple[bytes, dict]:

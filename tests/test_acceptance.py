@@ -17,6 +17,7 @@ from topoline.graph_core import (
     all_regular_or_biregular,
     complete_graph,
     cycle_graph,
+    is_connected,
     is_forest,
     is_isomorphic,
     is_non_trivial,
@@ -24,8 +25,6 @@ from topoline.graph_core import (
     star_graph,
 )
 from topoline.harness import (
-    EnumerationSpec,
-    enumerate_graphs,
     enumerate_trees,
     extremal_search,
     sample_gnp,
@@ -54,8 +53,8 @@ def _report(cid: int, name: str, failures: list) -> None:
 
 
 @pytest.fixture(scope="module")
-def connected_upto_7():
-    return list(enumerate_graphs(EnumerationSpec(2, 7, connected_only=True)))
+def connected_upto_7(graphs_upto_7):
+    return [g for g in graphs_upto_7 if g.n >= 2 and is_connected(g)]
 
 
 @pytest.fixture(scope="module")

@@ -531,6 +531,16 @@ class TestExtremalAndEnumerate:
         assert "caps at n=8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
+        ["enumerate", "--n", "9", "--out", "{out}"],
+        ["extremal", "--index", "m1", "--objective", "max", "--class", "unicyclic", "--n", "9"],
+    ], ids=["enumerate", "extremal"])
+    def test_cap_error_names_verify_source(self, tmp_path, capsys, command):
+        # neither command takes --source, so the message sends the user to verify's
+        assert main([arg.format(out=tmp_path / "out") for arg in command]) == 2
+        err = capsys.readouterr().err
+        assert "caps at n=8" in err and "graph6 file" in err and "verify --source" in err
+
+    @pytest.mark.parametrize("command", [
         ["verify", "--theorems", "all", "--n-min", "-1", "--n-max", "2", "--out", "{out}"],
         ["enumerate", "--n", "-2", "--out", "{out}"],
         ["extremal", "--index", "m1", "--objective", "max", "--class", "all", "--n", "-1"],

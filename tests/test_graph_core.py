@@ -30,7 +30,6 @@ from topoline.graph_core import (
     permute,
     star_graph,
 )
-from topoline.harness import _all_graphs
 from topoline.line_graph import line_graph
 
 
@@ -145,8 +144,8 @@ class TestClassifyComponents:
             assert info.biregular == biregular
 
 
-def test_degree_and_component_facts_match_oracle_up_to_7():
-    pool = [g for n in range(8) for g in _all_graphs(n)]
+def test_degree_and_component_facts_match_oracle_up_to_7(graphs_upto_7):
+    pool = graphs_upto_7
     assert len(pool) == 1253 and pool[0] == Graph(0)
     for g in pool:
         assert {

@@ -3,10 +3,12 @@ import random
 import weakref
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 from conftest import write_verified
 from topoline.graph_core import (
+    Graph,
     canonical_form,
     cycle_graph,
     is_isomorphic,
@@ -16,7 +18,6 @@ from topoline.graph_core import (
 from topoline.harness import (
     EnumerationCapError,
     EnumerationSpec,
-    _all_graphs,
     enumerate_graphs,
     enumerate_trees,
     extremal_search,
@@ -27,6 +28,12 @@ from topoline.harness import (
 from topoline.indices import compute_index_vector
 from topoline.io_formats import ReportMeta, emit_graph6, write_report
 from topoline.line_graph import line_graph
+
+
+@pytest.fixture(scope="module")
+def trees_by_order():
+    """enumerate_trees(n) for n = 1..10, grown once for the tests that read them all."""
+    return {n: enumerate_trees(n) for n in range(1, 11)}
 
 
 class TestEnumeration:
@@ -46,7 +53,7 @@ class TestEnumeration:
         assert len(keys) == len(set(keys))
         assert keys == sorted(keys)
 
-    # sha256 of the canonical keys of _all_graphs(n), in order, one per line:
+    # sha256 of the canonical keys of the graphs on n vertices, in order, one per line:
     # a change to the canonical search must leave keys and their order alone.
     @pytest.mark.parametrize("n,digest", [
         (0, "ba768b331fd86cec803be04e56ab2b3d4c0e98ef4ee4fcd4e72ad7cce61a1d1f"),
@@ -59,7 +66,7 @@ class TestEnumeration:
         (7, "98d1b2def0e5e586ee01510ed2fe3789cb6ec8e9e682d0974566ed04dca2f08b"),
     ])
     def test_canonical_keys_pinned(self, n, digest):
-        keys = "\n".join(canonical_form(g) for g in _all_graphs(n))
+        keys = "\n".join(canonical_form(g) for g in enumerate_graphs(EnumerationSpec(n, n)))
         assert hashlib.sha256(keys.encode()).hexdigest() == digest
 
     def test_cap_error_mentions_file_source(self):
@@ -87,6 +94,22 @@ class TestEnumeration:
     def test_tree_counts(self):
         # published tree counts 1, 1, 1, 2, 3, 6, 11, 23 for n = 1..8
         assert [len(enumerate_trees(n)) for n in range(1, 9)] == [1, 1, 1, 2, 3, 6, 11, 23]
+
+    def test_tree_catalogue_pinned(self, trees_by_order):
+        # every tree with n <= 10 as graph6, in enumeration order: the
+        # representatives `extremal --class trees` ranks, and their order
+        text = "".join(emit_graph6(t) + "\n" for trees in trees_by_order.values() for t in trees)
+        digest = "5d8389a520a81e64d10ef1cb3b7a196605473d8e1a49ab8f73c3ee0d1ef5764a"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n,count", [
+        (2, 1), (3, 1), (4, 2), (5, 3), (6, 6), (7, 11), (8, 23), (9, 47), (10, 106),
+    ])
+    def test_trees_match_networkx(self, trees_by_order, n, count):
+        reference = sorted(canonical_form(Graph(n, tuple(h.edges())))
+                           for h in nx.nonisomorphic_trees(n))
+        keys = [canonical_form(t) for t in trees_by_order[n]]
+        assert keys == reference and len(keys) == count
 
     def test_tree_cap_refused_before_work(self, monkeypatch):
         import topoline.harness as harness

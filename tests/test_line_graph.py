@@ -8,10 +8,10 @@ from topoline.graph_core import (
     cycle_graph,
     disjoint_union,
     is_isomorphic,
+    is_non_trivial,
     path_graph,
     star_graph,
 )
-from topoline.harness import EnumerationSpec, enumerate_graphs
 from topoline.indices import compute_index_vector
 from topoline.io_formats import emit_graph6
 from topoline.line_graph import TrivialComponentError, line_graph
@@ -47,8 +47,8 @@ class TestLineGraph:
         for idx, (u, v) in enumerate(g.edges):
             assert lg.degrees[idx] == g.degrees[u] + g.degrees[v] - 2
 
-    def test_labelled_edges_match_oracle_up_to_7(self):
-        graphs = list(enumerate_graphs(EnumerationSpec(1, 7, non_trivial_only=True)))
+    def test_labelled_edges_match_oracle_up_to_7(self, graphs_upto_7):
+        graphs = [g for g in graphs_upto_7 if g.n >= 1 and is_non_trivial(g)]
         assert len(graphs) > 1000
         for g in graphs:
             lg = line_graph(g)

@@ -13,6 +13,7 @@ from topoline.graph_core import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    is_connected,
     path_graph,
     star_graph,
 )
@@ -413,11 +414,10 @@ class TestT11:
 
 
 class TestT10Exhaustive:
-    def test_every_connected_graph_up_to_seven(self):
-        from topoline.harness import EnumerationSpec, enumerate_graphs
-
+    def test_every_connected_graph_up_to_seven(self, graphs_upto_7):
         checked = 0
-        for g in enumerate_graphs(EnumerationSpec(2, 7, connected_only=True)):
+        connected = [g for g in graphs_upto_7 if g.n >= 2 and is_connected(g)]
+        for g in connected:
             r = check_T10_on_graph(g)
             if r.applicable:
                 checked += 1
