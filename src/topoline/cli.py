@@ -26,7 +26,7 @@ from .hyperbolicity import (
     hyperbolicity_constant,
     hyperbolicity_upper_bound,
 )
-from .indices import INDEX_NAMES, IsolatedVertexError, compute_index_vector
+from .indices import INDEX_NAMES, IsolatedVertexError
 from .io_formats import (
     EdgeListError,
     Graph6Error,
@@ -47,7 +47,7 @@ def _cmd_compute(args) -> int:
     graphs = read_graph_file(args.infile, args.format)
     if args.line_graph:
         graphs = map(line_graph, graphs)
-    records = (graph_record(g, compute_index_vector(g)) for g in graphs)
+    records = (graph_record(g, g.index_vector) for g in graphs)
     write_report(ReportMeta(), records, "index_csv" if args.emit == "csv" else "json", args.out)
     return 0
 
@@ -80,6 +80,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_hyperbolicity(args) -> int:
+    if args.cap < 0:
+        raise ValueError(f"--cap must be non-negative, got {args.cap}")
     graphs = list(read_graph_file(args.infile, args.format))  # a parse error prints nothing
     for g in graphs:
         label = graph_label(g)

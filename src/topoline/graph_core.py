@@ -107,11 +107,17 @@ class Graph:
         return f"{self.n}:{bits}"
 
     @functools.cached_property
+    def index_vector(self) -> IndexVector:
+        """Every degree-based index of this graph (see :mod:`topoline.indices`)."""
+        from . import indices  # here, as indices imports this module; looked up per call
+        return indices.compute_index_vector(self)
+
+    @functools.cached_property
     def _hash(self) -> int:
         return hash((self.n, self.edges))
 
     def __hash__(self) -> int:
-        # the dataclass's own hash, computed once: cache lookups hash G and L(G) often
+        # the dataclass's own hash, computed once: line_graph's cache hashes G on every check
         return self._hash
 
     def has_edge(self, u: int, v: int) -> bool:

@@ -26,7 +26,7 @@ from .graph_core import (
     with_canonical_key,
 )
 from .hyperbolicity import hyperbolicity_constant
-from .indices import INDEX_NAMES, IndexVector, IsolatedVertexError, compute_index_vector
+from .indices import INDEX_NAMES, IndexVector, IsolatedVertexError
 from .io_formats import (
     GraphRecord,
     ReportMeta,
@@ -129,6 +129,7 @@ def _source_graphs(spec: EnumerationSpec) -> Iterator[Graph]:
 
 def enumerate_graphs(spec: EnumerationSpec) -> Iterator[Graph]:
     """One representative per isomorphism class, in (n, key) order (see `_graph_key`)."""
+    origin = Graph(min(spec.n_min, 0))  # GraphError for a negative n_min, before a file is read
     if spec.n_min > spec.n_max:
         return
     if spec.source is not None:
@@ -139,8 +140,7 @@ def enumerate_graphs(spec: EnumerationSpec) -> Iterator[Graph]:
                 f"internal enumeration caps at n={ENUMERATION_CAP}; "
                 f"for larger orders, run verify --source on a graph6 file"
             )
-        # the levels grow from order 0; Graph raises GraphError for a negative n_min
-        levels = _levels(spec.n_max, lambda k: range(1 << k), Graph(min(spec.n_min, 0)))
+        levels = _levels(spec.n_max, lambda k: range(1 << k), origin)
         pool = itertools.chain.from_iterable(itertools.islice(levels, spec.n_min, None))
     for g in pool:
         if spec.connected_only and not is_connected(g):
@@ -206,7 +206,7 @@ def verify_records(spec: EnumerationSpec, theorems=None) -> Iterator[GraphRecord
     ids = _normalize_theorems(theorems)
     for g in enumerate_graphs(spec):
         try:
-            iv = compute_index_vector(g)
+            iv = g.index_vector
             note = ""
         except IsolatedVertexError as exc:
             iv = None
@@ -221,7 +221,7 @@ def _index_value(g: Graph, index: str) -> Fraction | float:
     """The value on ``g`` of "delta" or of a name in :data:`INDEX_NAMES`."""
     if index == "delta":
         return hyperbolicity_constant(g).delta
-    iv = compute_index_vector(g)
+    iv = g.index_vector
     return iv.ga1_value() if index == "ga1" else getattr(iv, index)
 
 

@@ -10,7 +10,6 @@ alongside so that equality cases never depend on rounding.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import Counter
@@ -72,8 +71,6 @@ def _ratio_sum(terms: list[tuple[int, int]]) -> tuple[int, int]:
     return sum(w * (den // d) for w, d in terms), den
 
 
-# Two entries, G and L(G): a run checks one graph at a time, and older vectors are garbage.
-@functools.lru_cache(maxsize=2)
 def compute_index_vector(g: Graph) -> IndexVector:
     """Compute every index at once, asserting the internal exact identities.
 

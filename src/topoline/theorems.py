@@ -61,7 +61,7 @@ from .graph_core import (
     is_non_trivial,
 )
 from .hyperbolicity import HyperbolicityCapError, hyperbolicity_constant
-from .indices import IndexVector, _ratio_sum, compute_index_vector, exact_sqrt
+from .indices import _ratio_sum, exact_sqrt
 from .line_graph import line_graph
 
 REAL_TOLERANCE = 1e-9
@@ -212,10 +212,6 @@ def _sqrt_ratio(num_product: int, denom: int) -> Value:
     return math.sqrt(num_product) / denom
 
 
-def _line_indices(g: Graph) -> IndexVector:
-    return compute_index_vector(line_graph(g))
-
-
 def _t1_expressions(max_degree: int, m: int) -> tuple[Fraction, Fraction, Fraction]:
     d = max_degree
     e1 = Fraction(2 * d * d + m * m + (6 - 2 * d) * m - 2 * d - 4)
@@ -231,7 +227,7 @@ def _t1_expressions(max_degree: int, m: int) -> tuple[Fraction, Fraction, Fracti
 @_check("T1")
 def check_T1_m1_upper(g: Graph) -> BoundCheckResult:
     e1, e2, e3 = _t1_expressions(g.max_degree, g.m)
-    lhs = compute_index_vector(g).m1
+    lhs = g.index_vector.m1
     # only the max binds; per-expression results are recorded for audit
     return replace(
         _compare("T1", lhs, max(e1, e2, e3), "upper"),
@@ -245,14 +241,14 @@ def check_T1_m1_upper(g: Graph) -> BoundCheckResult:
 
 @_check("T2", needs="non_trivial")
 def check_T2_ga_sum(g: Graph) -> BoundCheckResult:
-    lhs = compute_index_vector(g).ga1_value() + _line_indices(g).ga1_value()
+    lhs = g.index_vector.ga1_value() + line_graph(g).index_vector.ga1_value()
     rhs = max(_t1_expressions(g.max_degree, g.m)) / 2
     return _compare("T2", lhs, rhs, "upper")
 
 
 @_check("T3", needs="non_trivial")
 def check_T3_line_identities(g: Graph) -> BoundCheckResult:
-    iv = compute_index_vector(g)
+    iv = g.index_vector
     m_line = Fraction(line_graph(g).m)
     parts = [
         _compare("T3.line_edges", m_line, iv.platt / 2, "identity"),
@@ -265,9 +261,9 @@ def check_T3_line_identities(g: Graph) -> BoundCheckResult:
 @_check("T4", needs="non_trivial")
 def check_T4_ga_platt(g: Graph) -> BoundCheckResult:
     d_max, d_min = g.max_degree, g.min_degree
-    iv = compute_index_vector(g)
+    iv = g.index_vector
     ga = iv.ga1_value()
-    ga_line = _line_indices(g).ga1_value()
+    ga_line = line_graph(g).index_vector.ga1_value()
     platt = iv.platt
 
     line_coeff = _sqrt_ratio((d_max - 1) * (d_min - 1), d_max + d_min - 2)
@@ -293,7 +289,7 @@ def check_T5_ga_hyperbolicity(g: Graph) -> BoundCheckResult:
 
 def ga_hyperbolicity_bound(g: Graph, delta: Fraction) -> BoundCheckResult:
     """T5 on a connected non-tree ``g`` whose hyperbolicity constant is ``delta``."""
-    lhs = _line_indices(g).ga1_value()
+    lhs = line_graph(g).index_vector.ga1_value()
     rhs = float(4 * delta - 1) ** 1.5 / float(2 * delta)
     return replace(_compare("T5", lhs, rhs, "lower"), reason=f"delta={delta}")
 
@@ -301,7 +297,7 @@ def ga_hyperbolicity_bound(g: Graph, delta: Fraction) -> BoundCheckResult:
 @_check("T6")
 def check_T6_ga_vs_m1(g: Graph) -> BoundCheckResult:
     d_max, d_min = g.max_degree, g.min_degree
-    iv = compute_index_vector(g)
+    iv = g.index_vector
     ga = iv.ga1_value()
     c1 = Fraction(1, 2 * d_max)
     c2 = 2 * _sqrt_ratio(d_max * d_min, (d_max + d_min) ** 2)
@@ -317,16 +313,16 @@ def check_T6_ga_vs_m1(g: Graph) -> BoundCheckResult:
 
 @_check("T7", needs="non_trivial")
 def check_T7_m1_line_identity(g: Graph) -> BoundCheckResult:
-    iv = compute_index_vector(g)
+    iv = g.index_vector
     rhs = 4 * g.m - 4 * iv.m1 + 2 * iv.m2 + iv.forgotten
-    return _compare("T7", _line_indices(g).m1, rhs, "identity")
+    return _compare("T7", line_graph(g).index_vector.m1, rhs, "identity")
 
 
 @_check("T8", needs="non_trivial")
 def check_T8_ga_line_lower(g: Graph) -> BoundCheckResult:
     d_max, d_min = g.max_degree, g.min_degree
-    iv = compute_index_vector(g)
-    lhs = _line_indices(g).ga1_value()
+    iv = g.index_vector
+    lhs = line_graph(g).index_vector.ga1_value()
     c1 = Fraction(1, 4 * (d_max - 1))
     c2 = _sqrt_ratio((d_max - 1) * (d_min - 1), (d_max + d_min - 2) ** 2)
     expr = 4 * g.m - 4 * iv.m1 + 2 * iv.m2 + iv.forgotten
@@ -335,10 +331,9 @@ def check_T8_ga_line_lower(g: Graph) -> BoundCheckResult:
 
 @_check("T9")
 def check_T9_harmonic_bounds(g: Graph) -> BoundCheckResult:
-    iv = compute_index_vector(g)
     regular = all_regular(g)
 
-    parts = [_compare("T9.order_bound", iv.harmonic, Fraction(g.n, 2), "upper")]
+    parts = [_compare("T9.order_bound", g.index_vector.harmonic, Fraction(g.n, 2), "upper")]
     parts.append(
         BoundCheckResult(
             "T9.order_equality_iff_regular", None, None,
@@ -347,7 +342,7 @@ def check_T9_harmonic_bounds(g: Graph) -> BoundCheckResult:
         )
     )
     if is_non_trivial(g):
-        hl = _line_indices(g).harmonic
+        hl = line_graph(g).index_vector.harmonic
         line_bound = _compare("T9.line_bound", hl, Fraction(g.m, 2), "upper")
         parts.append(line_bound)
         flag = all_regular_or_biregular(g)
@@ -479,8 +474,8 @@ def check_T11_harmonic_sandwich(g: Graph) -> BoundCheckResult:
         lo, hi = Fraction(4, d_max + 3), Fraction(d_max - 1)
     else:
         lo, hi = Fraction(3, 2 * d_max - 1), Fraction(d_max - 1)
-    h = compute_index_vector(g).harmonic
-    h_line = _line_indices(g).harmonic
+    h = g.index_vector.harmonic
+    h_line = line_graph(g).index_vector.harmonic
     parts = [
         _compare("T11.lower", h_line, lo * h, "lower"),
         _compare("T11.upper", h_line, hi * h, "upper"),

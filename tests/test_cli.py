@@ -470,6 +470,15 @@ class TestHyperbolicity:
         assert code == 0
         assert "m/4" in capsys.readouterr().out
 
+    def test_negative_cap_is_usage_error(self, tmp_path, capsys):
+        src = tmp_path / "p9.txt"
+        src.write_text(emit_edge_list(path_graph(9)))
+        code = main(["hyperbolicity", "--in", str(src), "--format", "edgelist", "--cap", "-1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--cap must be non-negative, got -1" in captured.err
+
 
 class TestExtremalAndEnumerate:
     def test_extremal_prints_graph6(self, capsys):
@@ -542,12 +551,15 @@ class TestExtremalAndEnumerate:
 
     @pytest.mark.parametrize("command", [
         ["verify", "--theorems", "all", "--n-min", "-1", "--n-max", "2", "--out", "{out}"],
+        ["verify", "--theorems", "all", "--n-min", "-1", "--n-max", "2", "--source", "{src}",
+         "--out", "{out}"],
         ["enumerate", "--n", "-2", "--out", "{out}"],
         ["extremal", "--index", "m1", "--objective", "max", "--class", "all", "--n", "-1"],
-    ], ids=["verify", "enumerate", "extremal"])
+    ], ids=["verify", "verify-source", "enumerate", "extremal"])
     def test_negative_order_is_usage_error(self, tmp_path, capsys, command):
-        out = tmp_path / "out"
-        assert main([arg.format(out=out) for arg in command]) == 2
+        out, src = tmp_path / "out", tmp_path / "c4.g6"
+        src.write_text("Cl\n")
+        assert main([arg.format(out=out, src=src) for arg in command]) == 2
         assert "vertex count must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 

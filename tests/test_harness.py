@@ -25,7 +25,6 @@ from topoline.harness import (
     verification_meta,
     verify_records,
 )
-from topoline.indices import compute_index_vector
 from topoline.io_formats import ReportMeta, emit_graph6, write_report
 from topoline.line_graph import line_graph
 
@@ -211,24 +210,29 @@ class TestPerRecordLifetime:
         for _ in verify_records(EnumerationSpec(1, 6)):
             pass
         assert line_graph.cache_info().currsize <= 1
-        assert compute_index_vector.cache_info().currsize <= 2
 
     @pytest.mark.parametrize("theorems,line_counts,index_counts", [
-        (None, (51, 8), (115, 16)),
+        (None, (51, 8), (16, 16)),
         (("T1",), (0, 0), (8, 8)),
         (("T3", "T7"), (8, 8), (16, 16)),
     ])
-    def test_cache_counts_pinned(self, tmp_path, theorems, line_counts, index_counts):
-        # (hits, misses) as the unbounded caches counted them: every reuse
-        # of a line graph or an index vector happens within its own record
+    def test_cache_counts_pinned(self, tmp_path, monkeypatch, theorems, line_counts, index_counts):
+        # line_graph's (hits, misses) as an unbounded cache counted them: every
+        # reuse of a line graph happens within its own record; and (index
+        # computations, distinct graphs computed): one per G and one per L(G)
+        import topoline.indices as indices
+
+        computed = []
+        compute = indices.compute_index_vector
+        monkeypatch.setattr(indices, "compute_index_vector", lambda g: computed.append(g) or compute(g))
         path = tmp_path / "fixture.g6"
         path.write_text(self.SOURCE)
         line_graph.cache_clear()
-        compute_index_vector.cache_clear()
         records = list(verify_records(EnumerationSpec(1, 62, source=str(path)), theorems))
         assert len(records) == 8
-        lg, iv = line_graph.cache_info(), compute_index_vector.cache_info()
-        assert ((lg.hits, lg.misses), (iv.hits, iv.misses)) == (line_counts, index_counts)
+        lg = line_graph.cache_info()
+        assert (lg.hits, lg.misses) == line_counts
+        assert (len(computed), len({id(g) for g in computed})) == index_counts
 
     @pytest.mark.parametrize("theorems", [("T1",), ("T3", "T7"), ("T1", "T2", "T9", "T11")])
     def test_earlier_graphs_released_as_the_source_drains(self, tmp_path, monkeypatch, theorems):
@@ -252,9 +256,9 @@ class TestPerRecordLifetime:
         # key, the 8 beyond the cap only checked; then each of the 33 kept
         # graphs is decoded once more
         assert len(built) == 58 + 33
-        # the compute_index_vector cache (two entries) is the most that may hold
-        # an earlier graph; the first pass keeps only text
-        assert max(alive_at_draw) <= 2
+        # only the record just yielded (line_graph's cache keys on it) may hold
+        # a graph at the next draw; the first pass keeps only text
+        assert max(alive_at_draw) <= 1
 
     def test_duplicated_shuffled_source_gives_the_same_report(self, tmp_path):
         reports = []
