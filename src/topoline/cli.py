@@ -1,49 +1,34 @@
 """Command-line surface: compute, verify, hyperbolicity, extremal, enumerate.
 
 Exit codes: 0 success, 1 bound violations found, 2 usage or parse errors.
+
+Each command imports its layers when it runs, so ``theorems`` and ``--help``
+load only the catalogue.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from datetime import datetime, timezone
 
-from .harness import (
+from .catalog import (
+    DEFAULT_VERTEX_CAP,
     ENUMERATION_CAP,
     GRAPH_CLASSES,
-    EnumerationSpec,
-    enumerate_graphs,
-    extremal_search,
-    graph_label,
-    graph_record,
-    verification_meta,
-    verify_records,
+    INDEX_NAMES,
+    THEOREM_IDS,
+    THEOREM_STATEMENTS,
 )
-from .hyperbolicity import (
-    DEFAULT_VERTEX_CAP,
-    HyperbolicityCapError,
-    hyperbolicity_constant,
-    hyperbolicity_upper_bound,
-)
-from .indices import INDEX_NAMES, IsolatedVertexError
-from .io_formats import (
-    EdgeListError,
-    Graph6Error,
-    ReportMeta,
-    emit_graph6,
-    format_value,
-    read_graph_file,
-    write_report,
-)
-from .line_graph import TrivialComponentError, line_graph
-from .theorems import THEOREM_IDS, THEOREM_STATEMENTS
 
 USAGE_ERROR = 2
 VIOLATIONS_FOUND = 1
 
 
 def _cmd_compute(args) -> int:
+    from .harness import graph_record
+    from .io_formats import ReportMeta, read_graph_file, write_report
+    from .line_graph import line_graph
+
     graphs = read_graph_file(args.infile, args.format)
     if args.line_graph:
         graphs = map(line_graph, graphs)
@@ -53,6 +38,11 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from datetime import datetime, timezone
+
+    from .harness import EnumerationSpec, verification_meta, verify_records
+    from .io_formats import write_report
+
     if args.theorems == "all":
         theorems = None
     else:
@@ -80,6 +70,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_hyperbolicity(args) -> int:
+    from .harness import graph_label
+    from .hyperbolicity import (
+        HyperbolicityCapError,
+        hyperbolicity_constant,
+        hyperbolicity_upper_bound,
+    )
+    from .io_formats import format_value, read_graph_file
+
     if args.cap < 0:
         raise ValueError(f"--cap must be non-negative, got {args.cap}")
     graphs = list(read_graph_file(args.infile, args.format))  # a parse error prints nothing
@@ -98,12 +96,18 @@ def _cmd_hyperbolicity(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
+    from .harness import extremal_search
+    from .io_formats import emit_graph6, format_value
+
     for g, value in extremal_search(args.index, args.objective, args.graph_class, args.n):
         print(f"{emit_graph6(g)} {format_value(value)}")
     return 0
 
 
 def _cmd_enumerate(args) -> int:
+    from .harness import EnumerationSpec, enumerate_graphs
+    from .io_formats import emit_graph6
+
     spec = EnumerationSpec(n_min=args.n, n_max=args.n, connected_only=args.connected)
     graphs = list(enumerate_graphs(spec))  # a refused enumeration leaves no file
     with open(args.out, "w", encoding="ascii") as fh:
@@ -177,8 +181,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (Graph6Error, EdgeListError, TrivialComponentError, IsolatedVertexError,
-            ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # every parse and refusal error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

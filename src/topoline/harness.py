@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
+from .catalog import ENUMERATION_CAP, GRAPH_CLASSES, INDEX_NAMES, THEOREM_IDS
 from .graph_core import (
     CANONICAL_CAP,
     Graph,
@@ -26,7 +27,7 @@ from .graph_core import (
     with_canonical_key,
 )
 from .hyperbolicity import hyperbolicity_constant
-from .indices import INDEX_NAMES, IndexVector, IsolatedVertexError
+from .indices import IndexVector, IsolatedVertexError
 from .io_formats import (
     GraphRecord,
     ReportMeta,
@@ -34,9 +35,7 @@ from .io_formats import (
     parse_graph6,
     read_graph6_texts,
 )
-from .theorems import GRAPH_CHECKS, THEOREM_IDS, BoundCheckResult, _tolerance
-
-ENUMERATION_CAP = 8
+from .theorems import GRAPH_CHECKS, BoundCheckResult, _tolerance
 
 
 class EnumerationCapError(ValueError):
@@ -223,9 +222,6 @@ def _index_value(g: Graph, index: str) -> Fraction | float:
         return hyperbolicity_constant(g).delta
     iv = g.index_vector
     return iv.ga1_value() if index == "ga1" else getattr(iv, index)
-
-
-GRAPH_CLASSES = ("all", "trees", "unicyclic", "connected")
 
 
 def _class_members(graph_class: str, n: int) -> list[Graph]:

@@ -47,11 +47,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .catalog import DEFAULT_VERTEX_CAP
 from .graph_core import Graph, is_forest
 
 GRANULARITIES = (4, 8)  # k = 2 is not exact: it samples delta(C5) = 5/4 as 1
 DEFAULT_GRANULARITY = 4
-DEFAULT_VERTEX_CAP = 8
 
 
 class HyperbolicityCapError(ValueError):

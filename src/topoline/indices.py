@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .catalog import INDEX_NAMES  # also importable from here
 from .graph_core import Graph
 
 
@@ -58,10 +59,6 @@ class IndexVector:
     def ga1_value(self) -> Fraction | float:
         """Exact geometric-arithmetic value when available, float otherwise."""
         return self.ga1_exact if self.ga1_exact is not None else self.ga1
-
-
-#: The six indices of :class:`IndexVector`, in the column order of index reports.
-INDEX_NAMES = ("m1", "m2", "forgotten", "harmonic", "ga1", "platt")
 
 
 def _ratio_sum(terms: list[tuple[int, int]]) -> tuple[int, int]:

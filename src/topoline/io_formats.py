@@ -27,8 +27,9 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
+from .catalog import INDEX_NAMES
 from .graph_core import Graph, build_graph
-from .indices import INDEX_NAMES, IndexVector
+from .indices import IndexVector
 from .theorems import BoundCheckResult
 
 logger = logging.getLogger(__name__)

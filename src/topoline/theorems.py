@@ -52,6 +52,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Union
 
+from .catalog import THEOREM_IDS, THEOREM_STATEMENTS  # also importable from here
 from .graph_core import (
     Graph,
     all_regular,
@@ -67,8 +68,6 @@ from .line_graph import line_graph
 REAL_TOLERANCE = 1e-9
 
 Value = Union[Fraction, float]
-
-THEOREM_IDS = tuple(f"T{i}" for i in range(1, 12))
 
 #: Per-graph dispatch table used by the verification harness; :func:`_check`
 #: fills it in catalog order.
@@ -482,18 +481,3 @@ def check_T11_harmonic_sandwich(g: Graph) -> BoundCheckResult:
     ]
     return _combine("T11", parts, reason=f"regime max_degree={d_max}")
 
-
-#: One-line statements for CLI listings and reports.
-THEOREM_STATEMENTS: dict[str, str] = {
-    "T1": "first Zagreb index bounded by the max of three expressions in (m, max degree)",
-    "T2": "GA1(G) + GA1(L(G)) bounded by half the T1 maximum",
-    "T3": "line-graph edge count / Platt number / first Zagreb identities",
-    "T4": "Platt-number bounds on GA1 of the graph and of its line graph",
-    "T5": "GA1 of the line graph bounded below via the hyperbolicity constant",
-    "T6": "GA1 bounded below by a min-coefficient multiple of M1 (equality for regular)",
-    "T7": "first Zagreb index of the line graph identity (uses the forgotten index)",
-    "T8": "GA1 of the line graph bounded below via M1(L(G))",
-    "T9": "harmonic index order bounds with regular/biregular equality characterizations",
-    "T10": "reciprocal-sum lemma and its fixed-coefficient corollary",
-    "T11": "harmonic-index sandwich between a graph and its line graph",
-}

@@ -282,7 +282,6 @@ class TestVerify:
     ], ids=["verify", "compute"])
     def test_unwritable_out_refused_before_any_record(self, tmp_path, capsys, monkeypatch,
                                                       argv, where):
-        import topoline.cli as cli
         import topoline.harness as harness
 
         drawn = []
@@ -292,8 +291,8 @@ class TestVerify:
             drawn.append(g)
             return graph_record(g, *args, **kwargs)
 
-        monkeypatch.setattr(harness, "graph_record", counting)  # verify's records
-        monkeypatch.setattr(cli, "graph_record", counting)  # compute's records
+        # compute and verify both read harness.graph_record when they run
+        monkeypatch.setattr(harness, "graph_record", counting)
         src = tmp_path / "in.g6"
         src.write_text(emit_graph6(cycle_graph(4)) + "\n")
         if where == "directory":
@@ -387,20 +386,73 @@ class TestSourcePastTheCap:
             (11, self.N11, self.N11), (14, self.N14, self.N14)]
 
 
+LAYERS = ("graph_core", "harness", "hyperbolicity", "indices", "io_formats", "line_graph",
+          "theorems")
+
+
 def test_numpy_loaded_only_for_delta():
-    # Only the exact hyperbolicity search needs numpy; importing the CLI and
-    # listing the catalog must not pay for it.
+    # Only the exact hyperbolicity search needs numpy, and the catalog listing
+    # and --help need no layer at all: start-up pays only for what runs.
     probe = (
         "import sys\n"
+        f"layers = {[f'topoline.{layer}' for layer in LAYERS]!r}\n"
+        "def assert_bare(step):\n"
+        "    assert 'numpy' not in sys.modules, step\n"
+        "    loaded = [m for m in layers if m in sys.modules]\n"
+        "    assert not loaded, f'{step} loaded {loaded}'\n"
         "import topoline.cli\n"
-        "assert 'numpy' not in sys.modules, 'import topoline.cli'\n"
+        "assert_bare('import topoline.cli')\n"
         "assert topoline.cli.main(['theorems']) == 0\n"
-        "assert 'numpy' not in sys.modules, 'topoline theorems'\n"
+        "assert_bare('topoline theorems')\n"
+        "try:\n"
+        "    topoline.cli.main(['--help'])\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "else:\n"
+        "    raise AssertionError('--help did not exit')\n"
+        "assert_bare('topoline --help')\n"
     )
     paths = [str(Path(topoline.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
+
+
+# Every public name of the package.  ``line_graph`` is not one: importing the
+# submodule of that name binds it on the package, so the name is the module.
+PUBLIC_NAMES = [
+    "BoundCheckResult", "CANONICAL_CAP", "CanonicalCapError", "ComponentInfo",
+    "ENUMERATION_CAP", "EdgeListError", "EnumerationCapError", "EnumerationSpec",
+    "GRAPH_CHECKS", "GeodesicTriangle", "Graph", "Graph6Error", "GraphError", "GraphRecord",
+    "HyperbolicityCapError", "HyperbolicityResult", "IndexVector", "IsolatedVertexError",
+    "LemmaInstance", "MetricPoint", "ReportMeta", "SubdividedLattice", "THEOREM_IDS",
+    "THEOREM_STATEMENTS", "TrivialComponentError", "all_regular", "all_regular_or_biregular",
+    "build_graph", "canonical_form", "check_T10_lemma", "check_T10_on_graph",
+    "check_T11_harmonic_sandwich", "check_T1_m1_upper", "check_T2_ga_sum",
+    "check_T3_line_identities", "check_T4_ga_platt", "check_T5_ga_hyperbolicity",
+    "check_T6_ga_vs_m1", "check_T7_m1_line_identity", "check_T8_ga_line_lower",
+    "check_T9_harmonic_bounds", "complete_bipartite_graph", "complete_graph", "components",
+    "compute_index_vector", "cycle_graph", "disjoint_union", "emit_edge_list", "emit_graph6",
+    "enumerate_graphs", "enumerate_trees", "extremal_search", "hyperbolicity_constant",
+    "hyperbolicity_upper_bound", "is_connected", "is_forest", "is_isomorphic",
+    "is_non_trivial", "parse_edge_list", "parse_graph6", "path_graph", "permute",
+    "read_graph_file", "sample_gnp", "star_graph", "subdivided_distances",
+    "verification_meta", "verify_records", "write_report",
+]
+
+
+def test_package_exports_resolve():
+    import importlib
+
+    assert sorted(topoline.__all__) == PUBLIC_NAMES
+    modules = [importlib.import_module(f"topoline.{m}") for m in ("catalog", *LAYERS)]
+    for name in PUBLIC_NAMES:
+        value = getattr(topoline, name)
+        holders = [m for m in modules if name in vars(m)]
+        assert holders and all(vars(m)[name] is value for m in holders), name
+    with pytest.raises(AttributeError):
+        topoline.no_such_name
+    assert topoline.line_graph is importlib.import_module("topoline.line_graph")
 
 
 def _distinct_connected_graph6(count: int, seed: int) -> list[str]:
