@@ -12,10 +12,10 @@ _EXPORTS = {
     "catalog": ("ENUMERATION_CAP", "THEOREM_IDS", "THEOREM_STATEMENTS"),
     "graph_core": (
         "CANONICAL_CAP", "CanonicalCapError", "ComponentInfo", "Graph", "GraphError",
-        "all_regular", "all_regular_or_biregular", "build_graph", "canonical_form",
+        "all_regular", "all_regular_or_biregular", "canonical_form",
         "complete_bipartite_graph", "complete_graph", "components", "cycle_graph",
         "disjoint_union", "is_connected", "is_forest", "is_isomorphic", "is_non_trivial",
-        "path_graph", "permute", "star_graph",
+        "path_graph", "star_graph",
     ),
     "harness": (
         "EnumerationCapError", "EnumerationSpec", "enumerate_graphs", "enumerate_trees",
@@ -28,8 +28,8 @@ _EXPORTS = {
     ),
     "indices": ("IndexVector", "IsolatedVertexError", "compute_index_vector"),
     "io_formats": (
-        "EdgeListError", "Graph6Error", "GraphRecord", "ReportMeta", "emit_edge_list",
-        "emit_graph6", "parse_edge_list", "parse_graph6", "read_graph_file", "write_report",
+        "EdgeListError", "Graph6Error", "GraphRecord", "ReportMeta", "emit_graph6",
+        "parse_graph6", "read_graph_file", "write_report",
     ),
     "line_graph": ("TrivialComponentError",),
     "theorems": (

@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 bound violations found, 2 usage or parse errors.
 
 Each command imports its layers when it runs, so ``theorems`` and ``--help``
-load only the catalogue.
+load only the catalogue, and ``compute`` and ``hyperbolicity`` load neither
+the harness nor the theorem checks.  Every file a command reads or writes
+goes through :mod:`.io_formats`.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ VIOLATIONS_FOUND = 1
 
 
 def _cmd_compute(args) -> int:
-    from .harness import graph_record
-    from .io_formats import ReportMeta, read_graph_file, write_report
+    from .io_formats import ReportMeta, graph_record, read_graph_file, write_report
     from .line_graph import line_graph
 
     graphs = read_graph_file(args.infile, args.format)
@@ -70,13 +71,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_hyperbolicity(args) -> int:
-    from .harness import graph_label
     from .hyperbolicity import (
         HyperbolicityCapError,
         hyperbolicity_constant,
         hyperbolicity_upper_bound,
     )
-    from .io_formats import format_value, read_graph_file
+    from .io_formats import format_value, graph_label, read_graph_file
 
     if args.cap < 0:
         raise ValueError(f"--cap must be non-negative, got {args.cap}")
@@ -106,13 +106,11 @@ def _cmd_extremal(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     from .harness import EnumerationSpec, enumerate_graphs
-    from .io_formats import emit_graph6
+    from .io_formats import ReportMeta, graph_record, write_report
 
     spec = EnumerationSpec(n_min=args.n, n_max=args.n, connected_only=args.connected)
-    graphs = list(enumerate_graphs(spec))  # a refused enumeration leaves no file
-    with open(args.out, "w", encoding="ascii") as fh:
-        for g in graphs:
-            fh.write(emit_graph6(g) + "\n")
+    records = (graph_record(g, None) for g in enumerate_graphs(spec))
+    write_report(ReportMeta(), records, "graph6", args.out)
     return 0
 
 

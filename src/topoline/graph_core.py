@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 #: Default vertex cap for exact canonicalization (brute force with pruning).
 CANONICAL_CAP = 10
@@ -119,23 +119,6 @@ class Graph:
     def __hash__(self) -> int:
         # the dataclass's own hash, computed once: line_graph's cache hashes G on every check
         return self._hash
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and v in self.adjacency[u]
-
-
-def build_graph(n: int, edge_list: Iterable[Sequence[int]]) -> Graph:
-    """Build a :class:`Graph`, rejecting loops and out-of-range vertices."""
-    g = Graph(n, tuple((u, v) for u, v in edge_list))
-    g.degrees  # populate the cache and run the degree-sum guard
-    return g
-
-
-def permute(g: Graph, perm: Sequence[int]) -> Graph:
-    """Relabel ``g`` by ``perm`` (vertex v becomes perm[v])."""
-    if sorted(perm) != list(range(g.n)):
-        raise GraphError(f"not a permutation of 0..{g.n - 1}: {perm!r}")
-    return Graph(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Graph enumeration, sampling, batch verification and extremal search.
 
+Records and their files are :mod:`.io_formats`'s: this module decides which
+graphs a run sees and what is checked on each, and hands the records on.
+
 Internal enumeration produces exactly one representative per isomorphism
 class, ordered by canonical key, by extending each (n-1)-vertex class with
 every possible neighborhood of a new vertex and deduplicating on canonical
@@ -26,16 +29,17 @@ from .graph_core import (
     is_non_trivial,
     with_canonical_key,
 )
-from .hyperbolicity import hyperbolicity_constant
-from .indices import IndexVector, IsolatedVertexError
+from .hyperbolicity import _refuse_past_cap, hyperbolicity_constant
+from .indices import IsolatedVertexError
 from .io_formats import (
     GraphRecord,
     ReportMeta,
     emit_graph6,
+    graph_record,
     parse_graph6,
     read_graph6_texts,
 )
-from .theorems import GRAPH_CHECKS, BoundCheckResult, _tolerance
+from .theorems import GRAPH_CHECKS, _tolerance
 
 
 class EnumerationCapError(ValueError):
@@ -84,23 +88,6 @@ def enumerate_trees(n: int) -> tuple[Graph, ...]:
 
 def _graph_key(g: Graph) -> str:
     return canonical_form(g) if g.n <= CANONICAL_CAP else emit_graph6(g)
-
-
-def graph_label(g: Graph) -> str:
-    """How reports name ``g``: its graph6 string, or "<n=N>" past graph6's 62 vertices."""
-    return emit_graph6(g) if g.n <= 62 else f"<n={g.n}>"
-
-
-def graph_record(g: Graph, indices: IndexVector | None, checks: Iterable[BoundCheckResult] = (),
-                 note: str = "", key: str | None = None) -> GraphRecord:
-    """The report record of ``g``; ``key`` defaults to its label, and a "<n=N>"
-    label (no graph6 byte is "<") leaves the ``graph6`` field empty."""
-    label = graph_label(g)
-    return GraphRecord(
-        graph_key=key or label, graph6="" if label.startswith("<") else label,
-        n=g.n, m=g.m, max_degree=g.max_degree, min_degree=g.min_degree,
-        indices=indices, checks=tuple(checks), note=note,
-    )
 
 
 def _first_texts(spec: EnumerationSpec) -> dict[tuple[int, str], str]:
@@ -186,7 +173,6 @@ def verification_meta(
     spec: EnumerationSpec,
     theorems=None,
     *,
-    seed: int | None = None,
     timestamp: str | None = None,
 ) -> ReportMeta:
     """The report head of a run; refuses an empty or unknown theorem selection.
@@ -195,7 +181,7 @@ def verification_meta(
     inputs serialize to byte-identical reports.
     """
     return ReportMeta(
-        timestamp=timestamp, seed=seed, spec=asdict(spec), theorems=_normalize_theorems(theorems)
+        timestamp=timestamp, spec=asdict(spec), theorems=_normalize_theorems(theorems)
     )
 
 
@@ -246,6 +232,8 @@ def extremal_search(index: str, objective: str, graph_class: str,
         raise ValueError(f"objective must be 'max' or 'min', got {objective!r}")
     if graph_class not in GRAPH_CLASSES:
         raise ValueError(f"unknown class {graph_class!r}; valid: {GRAPH_CLASSES}")
+    if index == "delta" and n <= (CANONICAL_CAP if graph_class == "trees" else ENUMERATION_CAP):
+        _refuse_past_cap(n)  # before any graph is grown; past its own cap the class refuses
     values: list[tuple[Graph, Fraction | float]] = []
     for g in _class_members(graph_class, n):
         try:

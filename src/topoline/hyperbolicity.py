@@ -182,17 +182,22 @@ def hyperbolicity_upper_bound(g: Graph) -> Fraction:
     return Fraction(g.m, 4)
 
 
+def _refuse_past_cap(n: int, cap: int = DEFAULT_VERTEX_CAP) -> None:
+    """Refuse exact computation on ``n`` vertices past ``cap``."""
+    if n > cap:
+        raise HyperbolicityCapError(
+            f"n={n} exceeds the exact-computation cap {cap}; "
+            f"fall back to hyperbolicity_upper_bound() = m/4"
+        )
+
+
 def hyperbolicity_constant(
     g: Graph,
     granularity: int = DEFAULT_GRANULARITY,
     cap: int = DEFAULT_VERTEX_CAP,
 ) -> HyperbolicityResult:
     """Exact delta(G); disconnected graphs take the maximum over components."""
-    if g.n > cap:
-        raise HyperbolicityCapError(
-            f"n={g.n} exceeds the exact-computation cap {cap}; "
-            f"fall back to hyperbolicity_upper_bound() = m/4"
-        )
+    _refuse_past_cap(g.n, cap)
     lat = subdivided_distances(g, granularity)
     # an edgeless graph has only trivial triangles (and n = 0 an empty lattice)
     best, witness, evaluations, corner_points = _lattice_delta(lat) if g.m else (0, None, 0, 0)

@@ -1,4 +1,8 @@
-"""Graph serialization (graph6 short form, edge-list text) and run reports.
+"""Every file the command line reads or writes, and how a report names a graph.
+
+Graphs come in as graph6 or edge-list text through :func:`read_graph_file`,
+and every output file (a JSON or CSV report, or an enumeration's graph6
+lines) goes out through :func:`write_report`.
 
 graph6 is the interchange format so the harness can ingest externally
 generated catalogs: first byte n+63 (n <= 62), then ceil(n(n-1)/12) payload
@@ -9,6 +13,10 @@ Reports keep rationals as "p/q" strings and reals at 12 significant digits so
 exact identities stay exact on disk, and identical report contents always
 serialize to identical bytes.  A report is written as a stream: the writer
 takes each record once and keeps none (see :func:`write_report`).
+
+This module sits below the checks: it reads the index vectors and check
+results of a record by their fields and imports neither :mod:`.indices` nor
+:mod:`.theorems`.
 """
 
 from __future__ import annotations
@@ -17,7 +25,6 @@ import csv
 import errno
 import itertools
 import json
-import logging
 import math
 import os
 import re
@@ -28,11 +35,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
 from .catalog import INDEX_NAMES
-from .graph_core import Graph, build_graph
-from .indices import IndexVector
-from .theorems import BoundCheckResult
-
-logger = logging.getLogger(__name__)
+from .graph_core import Graph
 
 GRAPH6_HEADER = ">>graph6<<"
 #: largest vertex count an edge list may declare; the degree tuple alone is then 8 MB
@@ -97,7 +100,7 @@ def parse_graph6(s: str) -> Graph:
         j = (1 + math.isqrt(8 * t + 1)) // 2
         edges.append((t - j * (j - 1) // 2, j))
         t = bits.find("1", t + 1)
-    return build_graph(n, edges)
+    return Graph(n, tuple(edges))
 
 
 def emit_graph6(g: Graph) -> str:
@@ -125,19 +128,14 @@ def _graph6_lines(lines: Iterable[str], read: Callable[[str], Any] = parse_graph
             raise Graph6Error(exc.reason, exc.offset, lineno) from None
 
 
-def parse_edge_list(text: str) -> Graph:
-    """Parse the edge-list text format.
-
-    First significant line holds the vertex count (at most
-    ``MAX_EDGE_LIST_VERTICES``), each following line one
-    edge "u v" (0-indexed); blank lines and '#' comments are ignored.
-    Duplicate edges collapse with a logged warning.
-    """
-    return _edge_list(text.split("\n"))
-
-
 def _edge_list(lines: Iterable[str]) -> Graph:
-    """The graph of an edge list given as its lines; duplicate edges are logged."""
+    """The graph of the edge-list text given as its lines.
+
+    The first significant line holds the vertex count (at most
+    ``MAX_EDGE_LIST_VERTICES``), each following line one edge "u v"
+    (0-indexed); blank lines and '#' comments are ignored.  Duplicate edges
+    collapse with a logged warning.
+    """
     n: int | None = None
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
@@ -180,8 +178,10 @@ def _edge_list(lines: Iterable[str]) -> Graph:
     if n is None:
         raise EdgeListError("missing vertex count line", 1)
     if duplicates:
-        logger.warning("edge list contained %d duplicate edge(s)", duplicates)
-    return build_graph(n, edges)
+        import logging  # only here: every other run would pay for its import
+
+        logging.getLogger(__name__).warning("edge list contained %d duplicate edge(s)", duplicates)
+    return Graph(n, tuple(edges))
 
 
 def _ascii_lines(fh: TextIO, fmt: str) -> Iterator[str]:
@@ -224,12 +224,6 @@ def read_graph6_texts(path: str) -> Iterator[tuple[int, str]]:
         yield from _graph6_lines(_ascii_lines(fh, "graph6"), _check_graph6)
 
 
-def emit_edge_list(g: Graph) -> str:
-    lines = [str(g.n)]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Run reports.
 
@@ -254,15 +248,36 @@ class ReportMeta:
 
 @dataclass(frozen=True, eq=False)
 class GraphRecord:
+    """One graph of a report.  ``indices`` is its ``indices.IndexVector`` (None
+    when it has none) and ``checks`` its ``theorems.BoundCheckResult``s; a
+    report reads only their fields."""
+
     graph_key: str
     graph6: str
     n: int
     m: int
     max_degree: int
     min_degree: int
-    indices: IndexVector | None
-    checks: tuple[BoundCheckResult, ...]
+    indices: Any
+    checks: tuple[Any, ...]
     note: str = ""
+
+
+def graph_label(g: Graph) -> str:
+    """How reports name ``g``: its graph6 string, or "<n=N>" past graph6's 62 vertices."""
+    return emit_graph6(g) if g.n <= 62 else f"<n={g.n}>"
+
+
+def graph_record(g: Graph, indices: Any, checks: Iterable[Any] = (), note: str = "",
+                 key: str | None = None) -> GraphRecord:
+    """The report record of ``g``; ``key`` defaults to its label, and a "<n=N>"
+    label (no graph6 byte is "<") leaves the ``graph6`` field empty."""
+    label = graph_label(g)
+    return GraphRecord(
+        graph_key=key or label, graph6="" if label.startswith("<") else label,
+        n=g.n, m=g.m, max_degree=g.max_degree, min_degree=g.min_degree,
+        indices=indices, checks=tuple(checks), note=note,
+    )
 
 
 @dataclass
@@ -299,7 +314,7 @@ _esc = json.encoder.encode_basestring_ascii
 _BOOL = {False: "false", True: "true"}
 
 
-def _check_json(c: BoundCheckResult, pad: str) -> str:
+def _check_json(c: Any, pad: str) -> str:
     """One check object whose braces sit at indentation ``pad``."""
     key = pad + "  "
     branches = ""
@@ -384,8 +399,9 @@ def write_report(meta: ReportMeta, records: Iterable[GraphRecord], fmt: str,
                  path: str) -> dict[str, Any]:
     """Stream a report to ``path`` and return its aggregates.
 
-    ``fmt`` is "json", "csv" (the check table) or "index_csv" (the index
-    table).  An unknown format, an empty ``path``, a ``path`` that is a
+    ``fmt`` is "json", "csv" (the check table), "index_csv" (the index
+    table) or "graph6" (each record's graph6 line, with no head).  An
+    unknown format, an empty ``path``, a ``path`` that is a
     directory or ends in a separator, or one whose directory cannot hold a
     file is refused before the first record is drawn, and the error names
     ``path`` as given.  ``records`` is consumed once, and
@@ -396,8 +412,10 @@ def write_report(meta: ReportMeta, records: Iterable[GraphRecord], fmt: str,
     write the head and copy the records in.  A run that fails part way thus
     leaves ``path`` as it was.
     """
-    if fmt != "json" and fmt not in _CSV_TABLES:
-        raise ValueError(f"unknown report format {fmt!r} (expected 'json', 'csv' or 'index_csv')")
+    if fmt not in ("json", "graph6") and fmt not in _CSV_TABLES:
+        raise ValueError(
+            f"unknown report format {fmt!r} (expected 'json', 'csv', 'index_csv' or 'graph6')"
+        )
     if not path:
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if os.path.isdir(path):
@@ -429,6 +447,9 @@ def write_report(meta: ReportMeta, records: Iterable[GraphRecord], fmt: str,
             # the small head through json.dumps, its closing "\n}" reopened for "records"
             head_text = json.dumps(head, indent=2, sort_keys=True)[:-2] + ',\n  "records": ['
             tail = ("]" if first is None else "\n  ]") + "\n}\n"
+        elif fmt == "graph6":
+            body.writelines(rec.graph6 + "\n" for rec in counted)
+            head_text = tail = ""
         else:
             header, rows = _CSV_TABLES[fmt]
             csv.writer(body, lineterminator="\n").writerows(

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from topoline.graph_core import Graph
+from topoline.graph_core import Graph, GraphError
 from topoline.harness import EnumerationSpec, enumerate_graphs, verification_meta, verify_records
-from topoline.io_formats import write_report
+from topoline.io_formats import _edge_list, write_report
 
 settings.register_profile(
     "default",
@@ -64,3 +64,23 @@ def write_verified(tmp_path, spec, theorems=None, fmt="json") -> tuple[bytes, di
     out = tmp_path / f"report.{fmt}"
     aggregates = write_report(meta, verify_records(spec, meta.theorems), fmt, str(out))
     return out.read_bytes(), aggregates
+
+
+def permute(g: Graph, perm) -> Graph:
+    """Relabel ``g`` by ``perm`` (vertex v becomes perm[v])."""
+    if sorted(perm) != list(range(g.n)):
+        raise GraphError(f"not a permutation of 0..{g.n - 1}: {perm!r}")
+    return Graph(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))
+
+
+def parse_edge_list(text: str) -> Graph:
+    """The graph of edge-list ``text`` by the parser of ``read_graph_file``;
+    only "\\n" separates its lines."""
+    return _edge_list(text.split("\n"))
+
+
+def emit_edge_list(g: Graph) -> str:
+    """``g`` as edge-list text: its vertex count, then one "u v" line per edge."""
+    lines = [str(g.n)]
+    lines.extend(f"{u} {v}" for u, v in g.edges)
+    return "\n".join(lines) + "\n"

@@ -29,12 +29,14 @@ from topoline.io_formats import format_value
 
 def brute_canonical_key(g: Graph) -> str:
     """Minimal column-major adjacency bit string over all n! permutations."""
+    edges = set(g.edges)
     best: str | None = None
     for perm in itertools.permutations(range(g.n)):
         bits = []
         for j in range(1, g.n):
             for i in range(j):
-                bits.append("1" if g.has_edge(perm[i], perm[j]) else "0")
+                u, v = sorted((perm[i], perm[j]))
+                bits.append("1" if (u, v) in edges else "0")
         s = "".join(bits)
         if best is None or s < best:
             best = s

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import topoline
+from conftest import emit_edge_list
 from topoline.cli import main
 from topoline.graph_core import (
     Graph,
@@ -18,7 +19,7 @@ from topoline.graph_core import (
     path_graph,
     star_graph,
 )
-from topoline.io_formats import emit_edge_list, emit_graph6
+from topoline.io_formats import emit_graph6
 
 
 @pytest.fixture
@@ -279,20 +280,23 @@ class TestVerify:
     @pytest.mark.parametrize("argv", [
         ["verify", "--theorems", "T1,T3", "--n-min", "1", "--n-max", "6"],
         ["compute", "--in", "{src}", "--format", "graph6", "--emit", "json"],
-    ], ids=["verify", "compute"])
+        ["enumerate", "--n", "6"],
+    ], ids=["verify", "compute", "enumerate"])
     def test_unwritable_out_refused_before_any_record(self, tmp_path, capsys, monkeypatch,
                                                       argv, where):
         import topoline.harness as harness
+        import topoline.io_formats as io_formats
 
         drawn = []
-        graph_record = harness.graph_record
 
-        def counting(g, *args, **kwargs):
-            drawn.append(g)
-            return graph_record(g, *args, **kwargs)
+        def counting(fn):
+            return lambda g, *args, **kwargs: drawn.append(g) or fn(g, *args, **kwargs)
 
-        # compute and verify both read harness.graph_record when they run
-        monkeypatch.setattr(harness, "graph_record", counting)
+        # verify reads harness.graph_record, compute and enumerate read
+        # io_formats.graph_record, and every graph grown gets a canonical form
+        monkeypatch.setattr(harness, "graph_record", counting(io_formats.graph_record))
+        monkeypatch.setattr(io_formats, "graph_record", counting(io_formats.graph_record))
+        monkeypatch.setattr(harness, "canonical_form", counting(harness.canonical_form))
         src = tmp_path / "in.g6"
         src.write_text(emit_graph6(cycle_graph(4)) + "\n")
         if where == "directory":
@@ -412,6 +416,36 @@ def test_numpy_loaded_only_for_delta():
         "    raise AssertionError('--help did not exit')\n"
         "assert_bare('topoline --help')\n"
     )
+    _run_probe(probe)
+
+
+def test_io_formats_loads_no_check_layer(tmp_path):
+    # io_formats sits below the checks, and logging waits for a duplicate edge;
+    # compute and hyperbolicity need neither the harness nor the theorem checks
+    src = tmp_path / "in.g6"
+    src.write_text(emit_graph6(cycle_graph(5)) + "\n" + emit_graph6(star_graph(4)) + "\n")
+    compute = ["compute", "--in", str(src), "--format", "graph6", "--emit", "csv"]
+    runs = [compute + ["--out", str(tmp_path / "g.csv")],
+            compute + ["--line-graph", "--out", str(tmp_path / "lg.csv")],
+            ["hyperbolicity", "--in", str(src), "--format", "graph6"]]
+    probe = (
+        "import sys\n"
+        "def assert_unloaded(step, modules):\n"
+        "    loaded = [m for m in modules if m in sys.modules]\n"
+        "    assert not loaded, f'{step} loaded {loaded}'\n"
+        "import topoline.io_formats\n"
+        "assert_unloaded('import topoline.io_formats',\n"
+        "                ('topoline.theorems', 'topoline.indices', 'logging'))\n"
+        "from topoline.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "    assert_unloaded(argv[0], ('topoline.theorems', 'topoline.harness'))\n"
+    )
+    _run_probe(probe)
+
+
+def _run_probe(probe: str) -> None:
+    """Run ``probe`` in a fresh interpreter that imports this package."""
     paths = [str(Path(topoline.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
@@ -427,17 +461,16 @@ PUBLIC_NAMES = [
     "HyperbolicityCapError", "HyperbolicityResult", "IndexVector", "IsolatedVertexError",
     "LemmaInstance", "MetricPoint", "ReportMeta", "SubdividedLattice", "THEOREM_IDS",
     "THEOREM_STATEMENTS", "TrivialComponentError", "all_regular", "all_regular_or_biregular",
-    "build_graph", "canonical_form", "check_T10_lemma", "check_T10_on_graph",
-    "check_T11_harmonic_sandwich", "check_T1_m1_upper", "check_T2_ga_sum",
-    "check_T3_line_identities", "check_T4_ga_platt", "check_T5_ga_hyperbolicity",
-    "check_T6_ga_vs_m1", "check_T7_m1_line_identity", "check_T8_ga_line_lower",
-    "check_T9_harmonic_bounds", "complete_bipartite_graph", "complete_graph", "components",
-    "compute_index_vector", "cycle_graph", "disjoint_union", "emit_edge_list", "emit_graph6",
-    "enumerate_graphs", "enumerate_trees", "extremal_search", "hyperbolicity_constant",
-    "hyperbolicity_upper_bound", "is_connected", "is_forest", "is_isomorphic",
-    "is_non_trivial", "parse_edge_list", "parse_graph6", "path_graph", "permute",
-    "read_graph_file", "sample_gnp", "star_graph", "subdivided_distances",
-    "verification_meta", "verify_records", "write_report",
+    "canonical_form", "check_T10_lemma", "check_T10_on_graph", "check_T11_harmonic_sandwich",
+    "check_T1_m1_upper", "check_T2_ga_sum", "check_T3_line_identities", "check_T4_ga_platt",
+    "check_T5_ga_hyperbolicity", "check_T6_ga_vs_m1", "check_T7_m1_line_identity",
+    "check_T8_ga_line_lower", "check_T9_harmonic_bounds", "complete_bipartite_graph",
+    "complete_graph", "components", "compute_index_vector", "cycle_graph", "disjoint_union",
+    "emit_graph6", "enumerate_graphs", "enumerate_trees", "extremal_search",
+    "hyperbolicity_constant", "hyperbolicity_upper_bound", "is_connected", "is_forest",
+    "is_isomorphic", "is_non_trivial", "parse_graph6", "path_graph", "read_graph_file",
+    "sample_gnp", "star_graph", "subdivided_distances", "verification_meta", "verify_records",
+    "write_report",
 ]
 
 

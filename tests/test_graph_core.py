@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graphs
+from conftest import graphs, permute
 from oracles import brute_canonical_key, degree_component_oracle
 from topoline.graph_core import (
     CanonicalCapError,
@@ -15,7 +15,6 @@ from topoline.graph_core import (
     GraphError,
     all_regular,
     all_regular_or_biregular,
-    build_graph,
     canonical_form,
     complete_bipartite_graph,
     complete_graph,
@@ -27,7 +26,6 @@ from topoline.graph_core import (
     is_isomorphic,
     is_non_trivial,
     path_graph,
-    permute,
     star_graph,
 )
 from topoline.line_graph import line_graph
@@ -35,24 +33,24 @@ from topoline.line_graph import line_graph
 
 class TestBuildGraph:
     def test_path(self):
-        g = build_graph(3, [(0, 1), (1, 2)])
+        g = Graph(3, ((0, 1), (1, 2)))
         assert g.degrees == (1, 2, 1)
 
     def test_cycle(self):
-        g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        g = Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
         assert g.degrees == (2, 2, 2, 2)
 
     def test_star(self):
-        g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+        g = Graph(4, ((0, 1), (0, 2), (0, 3)))
         assert g.degrees == (3, 1, 1, 1)
 
     def test_loop_rejected(self):
         with pytest.raises(GraphError, match=r"\(1, 1\)"):
-            build_graph(3, [(0, 1), (1, 1)])
+            Graph(3, ((0, 1), (1, 1)))
 
     def test_out_of_range_rejected(self):
         with pytest.raises(GraphError, match="out of range"):
-            build_graph(3, [(0, 3)])
+            Graph(3, ((0, 3),))
 
     def test_non_integer_label_rejected(self):
         with pytest.raises(GraphError, match="non-integer"):
@@ -61,14 +59,14 @@ class TestBuildGraph:
     @pytest.mark.parametrize("pair", [(0.5, 1), ("1", "2")])
     def test_labels_not_coerced(self, pair):
         with pytest.raises(GraphError, match="non-integer vertex label"):
-            build_graph(3, [pair])
+            Graph(3, (pair,))
 
     def test_numpy_integer_labels_accepted(self):
         g = Graph(3, ((np.int64(0), np.int8(1)),))
         assert g.edges == ((0, 1),) and g.degrees == (1, 1, 0)
 
     def test_duplicates_collapse(self):
-        g = build_graph(3, [(0, 1), (1, 0), (0, 1)])
+        g = Graph(3, ((0, 1), (1, 0), (0, 1)))
         assert g.m == 1
 
     @given(graphs())
@@ -185,7 +183,7 @@ _SYMMETRIC = {**_SYMMETRIC_BASES, **{f"co-{name}": _complement(g) for name, g in
 class TestCanonicalForm:
     def test_relabelings_share_key(self):
         c4 = cycle_graph(4)
-        other = build_graph(4, [(0, 2), (2, 1), (1, 3), (3, 0)])
+        other = Graph(4, ((0, 2), (2, 1), (1, 3), (3, 0)))
         assert canonical_form(c4) == canonical_form(other)
 
     def test_p4_s4_differ(self):

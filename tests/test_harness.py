@@ -163,6 +163,7 @@ class TestRunVerification:
     def test_graph6_emitted_at_most_twice_per_large_graph(self, tmp_path, monkeypatch):
         # beyond the canonical-form cap the record's graph6 doubles as its key
         import topoline.harness as harness
+        import topoline.io_formats as io_formats
 
         graphs = [cycle_graph(12), path_graph(12), star_graph(12)]
         path = tmp_path / "n12.g6"
@@ -173,7 +174,9 @@ class TestRunVerification:
             calls.append(g)
             return emit_graph6(g)
 
+        # the harness keys graphs with it, and io_formats labels records with it
         monkeypatch.setattr(harness, "emit_graph6", counting)
+        monkeypatch.setattr(io_formats, "emit_graph6", counting)
         records = list(verify_records(EnumerationSpec(12, 12, source=str(path)), ("T3",)))
         assert [r.graph_key for r in records] == sorted(r.graph6 for r in records)
         # once each, for the record's label: the first pass keys a line by its own text
@@ -240,7 +243,7 @@ class TestPerRecordLifetime:
 
         built = []
         alive_at_draw = []
-        build = io_formats.build_graph
+        build = io_formats.Graph
 
         def tracked(n, edges):
             alive_at_draw.append(sum(ref() is not None for ref in built))
@@ -248,7 +251,7 @@ class TestPerRecordLifetime:
             built.append(weakref.ref(g))
             return g
 
-        monkeypatch.setattr(io_formats, "build_graph", tracked)
+        monkeypatch.setattr(io_formats, "Graph", tracked)
         path = self._mixed_source(tmp_path, copies=2)
         records = verify_records(EnumerationSpec(1, 62, source=path), theorems)
         assert sum(1 for _ in records) == 33
@@ -302,6 +305,24 @@ class TestExtremalSearch:
     def test_unknown_index_lists_names(self):
         with pytest.raises(ValueError, match="harmonic"):
             extremal_search("wiener", "max", "trees", 5)
+
+    @pytest.mark.parametrize("graph_class,n,message", [
+        ("trees", 9, "n=9 exceeds the exact-computation cap 8"),
+        ("trees", 10, "n=10 exceeds the exact-computation cap 8"),
+        ("trees", 11, "tree enumeration caps at n=10"),
+        ("connected", 9, "internal enumeration caps at n=8"),
+        ("all", 9, "internal enumeration caps at n=8"),
+    ])
+    def test_delta_past_its_cap_refused_before_any_graph_grows(self, monkeypatch, graph_class,
+                                                                n, message):
+        import topoline.harness as harness
+
+        grown = []
+        key = harness.canonical_form
+        monkeypatch.setattr(harness, "canonical_form", lambda g: grown.append(g) or key(g))
+        with pytest.raises(ValueError, match=message):
+            extremal_search("delta", "max", graph_class, n)
+        assert grown == []
 
     def test_ties_included(self):
         winners = extremal_search("m1", "max", "trees", 4)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import graphs, write_verified
+from conftest import emit_edge_list, graphs, parse_edge_list, write_verified
 from oracles import aggregates_oracle, graph6_oracle, report_csv_oracle, report_json_oracle
 from topoline.graph_core import (
     Graph,
@@ -17,23 +17,16 @@ from topoline.graph_core import (
     path_graph,
     star_graph,
 )
-from topoline.harness import (
-    EnumerationSpec,
-    graph_record,
-    sample_gnp,
-    verification_meta,
-    verify_records,
-)
+from topoline.harness import EnumerationSpec, sample_gnp, verification_meta, verify_records
 from topoline.indices import compute_index_vector
 from topoline.io_formats import (
     MAX_EDGE_LIST_VERTICES,
     EdgeListError,
     Graph6Error,
     ReportMeta,
-    emit_edge_list,
     emit_graph6,
     format_value,
-    parse_edge_list,
+    graph_record,
     parse_graph6,
     read_graph_file,
     write_report,
