@@ -33,11 +33,10 @@ _EXPORTS = {
     ),
     "line_graph": ("TrivialComponentError",),
     "theorems": (
-        "GRAPH_CHECKS", "BoundCheckResult", "LemmaInstance", "check_T1_m1_upper",
-        "check_T2_ga_sum", "check_T3_line_identities", "check_T4_ga_platt",
-        "check_T5_ga_hyperbolicity", "check_T6_ga_vs_m1", "check_T7_m1_line_identity",
-        "check_T8_ga_line_lower", "check_T9_harmonic_bounds", "check_T10_lemma",
-        "check_T10_on_graph", "check_T11_harmonic_sandwich",
+        "GRAPH_CHECKS", "BoundCheckResult", "check_T1_m1_upper", "check_T2_ga_sum",
+        "check_T3_line_identities", "check_T4_ga_platt", "check_T5_ga_hyperbolicity",
+        "check_T6_ga_vs_m1", "check_T7_m1_line_identity", "check_T8_ga_line_lower",
+        "check_T9_harmonic_bounds", "check_T10_on_graph", "check_T11_harmonic_sandwich",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -71,17 +71,24 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_hyperbolicity(args) -> int:
+    import os
+    import stat
+
     from .hyperbolicity import (
         HyperbolicityCapError,
         hyperbolicity_constant,
         hyperbolicity_upper_bound,
     )
-    from .io_formats import format_value, graph_label, read_graph_file
+    from .io_formats import format_value, graph_label, read_graph6_texts, read_graph_file
 
     if args.cap < 0:
         raise ValueError(f"--cap must be non-negative, got {args.cap}")
-    graphs = list(read_graph_file(args.infile, args.format))  # a parse error prints nothing
-    for g in graphs:
+    if args.format == "graph6":  # read twice, checked then streamed: a pipe would read empty
+        if not stat.S_ISREG(os.stat(args.infile).st_mode):
+            raise ValueError(f"--in must name a regular file for graph6 input: {args.infile!r}")
+        for _ in read_graph6_texts(args.infile):
+            pass
+    for g in read_graph_file(args.infile, args.format):
         label = graph_label(g)
         try:
             result = hyperbolicity_constant(g, cap=args.cap)

@@ -112,14 +112,6 @@ class Graph:
         from . import indices  # here, as indices imports this module; looked up per call
         return indices.compute_index_vector(self)
 
-    @functools.cached_property
-    def _hash(self) -> int:
-        return hash((self.n, self.edges))
-
-    def __hash__(self) -> int:
-        # the dataclass's own hash, computed once: line_graph's cache hashes G on every check
-        return self._hash
-
 
 # ---------------------------------------------------------------------------
 # Standard small-graph constructors (used heavily by tests and the CLI docs).

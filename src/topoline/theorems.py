@@ -35,7 +35,7 @@ T10  for integers 3 <= k <= D and x_1..x_k in [1, D], with
      (both summed over the distinct x values, weighted by their counts):
      2/(k-1) * T <= S <= 2(D+2k-3)/(k^2-1) * T   and
      2/(D-1) * T <= S <= (D+3)/4 * T
-     [tuple invariants; on a graph, standing and a vertex of degree >= 3]
+     [on a graph, standing and a vertex of degree >= 3]
 T11  c_low * H(G) <= H(L(G)) <= c_high * H(G) with
      (c_low, c_high) = (8/11, 1) if D < 3, (4/(D+3), D-1) if 3 <= D <= 4,
      (3/(2D-1), D-1) if D > 4                                 [non_trivial]
@@ -100,24 +100,6 @@ class BoundCheckResult:
     def __post_init__(self) -> None:
         if self.equality and not self.satisfied:
             raise AssertionError("equality implies satisfied")
-
-
-@dataclass(frozen=True)
-class LemmaInstance:
-    """Input tuple for the reciprocal-sum lemma: integers 3 <= k <= max_degree,
-    entries 1 <= x_j <= max_degree."""
-
-    k: int
-    max_degree: int
-    xs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not 3 <= self.k <= self.max_degree:
-            raise ValueError(f"need 3 <= k <= max_degree, got k={self.k}, D={self.max_degree}")
-        if len(self.xs) != self.k:
-            raise ValueError(f"need exactly k={self.k} entries, got {len(self.xs)}")
-        if any(not 1 <= x <= self.max_degree for x in self.xs):
-            raise ValueError(f"entries must lie in [1, {self.max_degree}]: {self.xs}")
 
 
 def _not_applicable(theorem_id: str, reason: str) -> BoundCheckResult:
@@ -320,12 +302,10 @@ def check_T7_m1_line_identity(g: Graph) -> BoundCheckResult:
 @_check("T8", needs="non_trivial")
 def check_T8_ga_line_lower(g: Graph) -> BoundCheckResult:
     d_max, d_min = g.max_degree, g.min_degree
-    iv = g.index_vector
-    lhs = line_graph(g).index_vector.ga1_value()
+    line = line_graph(g).index_vector
     c1 = Fraction(1, 4 * (d_max - 1))
     c2 = _sqrt_ratio((d_max - 1) * (d_min - 1), (d_max + d_min - 2) ** 2)
-    expr = 4 * g.m - 4 * iv.m1 + 2 * iv.m2 + iv.forgotten
-    return _compare("T8", lhs, min(c1, c2, key=float) * expr, "lower")
+    return _compare("T8", line.ga1_value(), min(c1, c2, key=float) * line.m1, "lower")
 
 
 @_check("T9")
@@ -358,13 +338,6 @@ def check_T9_harmonic_bounds(g: Graph) -> BoundCheckResult:
     return _combine("T9", parts, reason=reason)
 
 
-def check_T10_lemma(inst: LemmaInstance) -> BoundCheckResult:
-    """Evaluate the lemma with S and T summed over the distinct entries v,
-    each with its count c_v: S = sum c_v/(v+k) and
-    T = sum_{v<w} c_v c_w/(v+w+2k-4) + sum_v C(c_v, 2)/(2v+2k-4)."""
-    return _lemma_result("T10", *_lemma_ints(inst.k, inst.max_degree, inst.xs))
-
-
 #: One bound of the lemma on integers: (name, r_num, r_den, slack_num, tight)
 #: for the bound r = r_num/r_den, whose slack is slack_num/(r_den s_den).
 _LemmaBound = tuple[str, int, int, int, bool]
@@ -374,9 +347,10 @@ def _lemma_ints(k: int, d_max: int, xs: Iterable[int]) -> tuple[int, int, list[_
     """The lemma on a tuple known to be valid, as integers: S = s_num/s_den
     and its four bounds.
 
-    S and T stay integer fractions over positive denominators, so each bound
-    c T against S is decided by the sign of one cross-multiplication; nothing
-    is reduced and no :class:`Fraction` is built."""
+    S = sum c_v/(v+k) and T = sum_{v<w} c_v c_w/(v+w+2k-4) + sum_v C(c_v, 2)/(2v+2k-4)
+    over the distinct entries v with counts c_v stay integer fractions over
+    positive denominators, so each bound c T against S is decided by the sign
+    of one cross-multiplication; no :class:`Fraction` is built."""
     counts = Counter(xs).items()
     s_num, s_den = _ratio_sum([(c, v + k) for v, c in counts])
     shift = 2 * k - 4
@@ -400,53 +374,60 @@ def _lemma_ints(k: int, d_max: int, xs: Iterable[int]) -> tuple[int, int, list[_
     return s_num, s_den, bounds
 
 
+def _lemma_decision(theorem_id: str, entries: list[tuple[int, int, _LemmaBound]],
+                    branches: Sequence[BoundCheckResult]) -> BoundCheckResult:
+    """The lemma's result over ``(s_num, s_den, bound)`` entries, decided from
+    their integers: satisfied if every slack numerator is >= 0, equality if
+    also some bound is tight, and the binding bound the first least slack,
+    keyed by ``slack_num / (r_den * s_den)``: int/int true division rounds
+    correctly, so this is the ``float`` of the slack that :func:`_combine`
+    keys on.  Only the binding bound becomes :class:`Fraction`s."""
+    satisfied = all(b[3] >= 0 for _, _, b in entries)
+    equality = satisfied and any(b[4] for _, _, b in entries)
+    s_num, s_den, (_, r_num, r_den, slack, _) = min(
+        entries, key=lambda e: e[2][3] / (e[2][2] * e[1]))
+    return BoundCheckResult(theorem_id, Fraction(s_num, s_den), Fraction(r_num, r_den),
+                            satisfied, equality, Fraction(slack, r_den * s_den),
+                            branches=branches)
+
+
 def _lemma_result(theorem_id: str, s_num: int, s_den: int,
                   bounds: list[_LemmaBound]) -> BoundCheckResult:
-    """The lemma's result named ``theorem_id``, built from :func:`_lemma_ints`."""
+    """The lemma's result named ``theorem_id`` from :func:`_lemma_ints`, with
+    its four bound results as ``branches``."""
     lhs = Fraction(s_num, s_den)
-    return _combine(theorem_id, [
+    return _lemma_decision(theorem_id, [(s_num, s_den, b) for b in bounds], tuple(
         BoundCheckResult(name, lhs, Fraction(r_num, r_den), slack >= 0, tight,
                          Fraction(slack, r_den * s_den))
         for name, r_num, r_den, slack, tight in bounds
-    ])
+    ))
 
 
 class _VertexLemmas(Sequence):
     """T10's per-vertex results ``T10.vertex{u}``, built from the kept
     integers on first access and then held; ``len()`` builds nothing."""
 
-    __slots__ = ("_kept", "_built")
-
     def __init__(self, kept: list[tuple[int, int, int, list[_LemmaBound]]]) -> None:
         self._kept = kept  # (u, s_num, s_den, bounds) per vertex of degree >= 3
-        self._built: tuple[BoundCheckResult, ...] | None = None
 
+    @functools.cached_property
     def _results(self) -> tuple[BoundCheckResult, ...]:
-        if self._built is None:
-            self._built = tuple(_lemma_result(f"T10.vertex{u}", s_num, s_den, bounds)
-                                for u, s_num, s_den, bounds in self._kept)
-        return self._built
+        return tuple(_lemma_result(f"T10.vertex{u}", s_num, s_den, bounds)
+                     for u, s_num, s_den, bounds in self._kept)
 
     def __len__(self) -> int:
         return len(self._kept)
 
     def __getitem__(self, i):
-        return self._results()[i]
-
-    def __iter__(self):
-        return iter(self._results())
+        return self._results[i]
 
 
 @_check("T10")
 def check_T10_on_graph(g: Graph) -> BoundCheckResult:
     """Instantiate the lemma at every vertex of degree >= 3 (k = d_u, xs = neighbor degrees).
 
-    The result is decided from the integers alone, as :func:`_combine` would
-    decide it over the per-vertex results: the binding bound is the first
-    least slack, keyed by ``slack_num / (r_den * s_den)``, which int/int true
-    division rounds correctly and so equals ``float`` of the slack.  Only the
-    binding bound's sides and slack become :class:`Fraction`s; the per-vertex
-    results wait in ``branches`` for a reader."""
+    :func:`_lemma_decision` decides it over every vertex's bounds, as it
+    decides each per-vertex result; those wait in ``branches`` for a reader."""
     degrees, adjacency = g.degrees, g.adjacency
     kept = [
         (u, *_lemma_ints(degrees[u], g.max_degree, (degrees[v] for v in adjacency[u])))
@@ -454,14 +435,9 @@ def check_T10_on_graph(g: Graph) -> BoundCheckResult:
     ]
     if not kept:
         return _not_applicable("T10", "no vertex of degree >= 3")
-    flat = [(s_num, s_den, b) for _, s_num, s_den, bounds in kept for b in bounds]
-    satisfied = all(b[3] >= 0 for _, _, b in flat)
-    equality = satisfied and any(b[4] for _, _, b in flat)
-    s_num, s_den, (_, r_num, r_den, slack, _) = min(
-        flat, key=lambda e: e[2][3] / (e[2][2] * e[1]))
-    return BoundCheckResult("T10", Fraction(s_num, s_den), Fraction(r_num, r_den), satisfied,
-                            equality, Fraction(slack, r_den * s_den),
-                            branches=_VertexLemmas(kept))
+    return _lemma_decision(
+        "T10", [(s_num, s_den, b) for _, s_num, s_den, bounds in kept for b in bounds],
+        _VertexLemmas(kept))
 
 
 @_check("T11", needs="non_trivial")

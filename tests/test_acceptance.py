@@ -35,14 +35,14 @@ from topoline.io_formats import emit_graph6, parse_graph6
 from topoline.line_graph import line_graph
 from topoline.theorems import (
     GRAPH_CHECKS,
-    LemmaInstance,
     check_T3_line_identities,
     check_T5_ga_hyperbolicity,
     check_T6_ga_vs_m1,
     check_T7_m1_line_identity,
     check_T9_harmonic_bounds,
-    check_T10_lemma,
     check_T11_harmonic_sandwich,
+    _lemma_ints,
+    _lemma_result,
 )
 
 
@@ -103,7 +103,7 @@ def test_criterion_4_lemma_brute_force():
         for k in range(3, d_max + 1):
             for xs in itertools.product(range(1, d_max + 1), repeat=k):
                 cases += 1
-                result = check_T10_lemma(LemmaInstance(k, d_max, xs))
+                result = _lemma_result("T10", *_lemma_ints(k, d_max, xs))
                 if not result.satisfied:
                     failures.append((k, d_max, xs))
     assert cases == 27 + 64 + 256 + 125 + 625 + 3125

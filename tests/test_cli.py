@@ -444,11 +444,16 @@ def test_io_formats_loads_no_check_layer(tmp_path):
     _run_probe(probe)
 
 
+def _child_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this package."""
+    paths = [str(Path(topoline.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
 def _run_probe(probe: str) -> None:
     """Run ``probe`` in a fresh interpreter that imports this package."""
-    paths = [str(Path(topoline.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=_child_env())
     assert result.returncode == 0, result.stderr
 
 
@@ -459,9 +464,9 @@ PUBLIC_NAMES = [
     "ENUMERATION_CAP", "EdgeListError", "EnumerationCapError", "EnumerationSpec",
     "GRAPH_CHECKS", "GeodesicTriangle", "Graph", "Graph6Error", "GraphError", "GraphRecord",
     "HyperbolicityCapError", "HyperbolicityResult", "IndexVector", "IsolatedVertexError",
-    "LemmaInstance", "MetricPoint", "ReportMeta", "SubdividedLattice", "THEOREM_IDS",
+    "MetricPoint", "ReportMeta", "SubdividedLattice", "THEOREM_IDS",
     "THEOREM_STATEMENTS", "TrivialComponentError", "all_regular", "all_regular_or_biregular",
-    "canonical_form", "check_T10_lemma", "check_T10_on_graph", "check_T11_harmonic_sandwich",
+    "canonical_form", "check_T10_on_graph", "check_T11_harmonic_sandwich",
     "check_T1_m1_upper", "check_T2_ga_sum", "check_T3_line_identities", "check_T4_ga_platt",
     "check_T5_ga_hyperbolicity", "check_T6_ga_vs_m1", "check_T7_m1_line_identity",
     "check_T8_ga_line_lower", "check_T9_harmonic_bounds", "complete_bipartite_graph",
@@ -504,8 +509,9 @@ def _distinct_connected_graph6(count: int, seed: int) -> list[str]:
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
 def test_verify_source_peak_memory_flat_in_graph_count(tmp_path):
-    # T3 and T7 build L(G) and its index vector for every graph.  VmHWM is the
-    # child's own peak; ru_maxrss of a child would include the forking parent.
+    # T3 and T7 build L(G) and its index vector for every graph; hyperbolicity
+    # prints one line per graph.  VmHWM is the child's own peak; ru_maxrss of a
+    # child would include the forking parent.
     probe = (
         "import sys\n"
         "from topoline.cli import main\n"
@@ -513,23 +519,29 @@ def test_verify_source_peak_memory_flat_in_graph_count(tmp_path):
         "status = open('/proc/self/status').read()\n"
         "print(next(l.split()[1] for l in status.splitlines() if l.startswith('VmHWM:')))\n"
     )
-    paths = [str(Path(topoline.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    env = _child_env()
     lines = _distinct_connected_graph6(4000, seed=7)
-    peaks_kb = []
-    for count in (1000, 4000):
-        src = tmp_path / f"g{count}.g6"
-        src.write_text("".join(line + "\n" for line in lines[:count]))
-        argv = ["verify", "--theorems", "T3,T7", "--source", str(src), "--n-min", "1",
-                "--n-max", "62", "--no-timestamp", "--out", str(tmp_path / "r.csv")]
-        result = subprocess.run([sys.executable, "-c", probe, *argv],
-                                capture_output=True, text=True, env=env)
-        assert result.returncode == 0, result.stderr
-        assert f"checked {count} graphs" in result.stdout
-        peaks_kb.append(int(result.stdout.split()[-1]))
-    # 3000 more graphs; holding each one's line graph and index vectors
-    # would cost about 50 MB
-    assert peaks_kb[1] - peaks_kb[0] < 4096, peaks_kb
+    for command in ("verify", "hyperbolicity"):
+        peaks_kb = []
+        for count in (1000, 4000):
+            src = tmp_path / f"g{count}.g6"
+            src.write_text("".join(line + "\n" for line in lines[:count]))
+            if command == "verify":
+                argv = ["verify", "--theorems", "T3,T7", "--source", str(src), "--n-min", "1",
+                        "--n-max", "62", "--no-timestamp", "--out", str(tmp_path / "r.csv")]
+            else:
+                argv = ["hyperbolicity", "--in", str(src), "--format", "graph6"]
+            result = subprocess.run([sys.executable, "-c", probe, *argv],
+                                    capture_output=True, text=True, env=env)
+            assert result.returncode == 0, result.stderr
+            if command == "verify":
+                assert f"checked {count} graphs" in result.stdout
+            else:
+                assert result.stdout.count("delta<=m/4=") == count
+            peaks_kb.append(int(result.stdout.split()[-1]))
+        # 3000 more graphs; holding each one's line graph and index vectors
+        # would cost about 50 MB, holding each decoded graph about 6 MB
+        assert peaks_kb[1] - peaks_kb[0] < 4096, (command, peaks_kb)
 
 
 class TestHyperbolicity:
@@ -546,6 +558,18 @@ class TestHyperbolicity:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "line 3: trailing garbage" in captured.err
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_is_refused(self, tmp_path):
+        # graph6 input is read twice, and a pipe reads empty the second time;
+        # run in a child, because opening a pipe with no writer blocks
+        fifo = tmp_path / "in.g6"
+        os.mkfifo(fifo)
+        result = subprocess.run(
+            [sys.executable, "-m", "topoline.cli", "hyperbolicity", "--in", str(fifo),
+             "--format", "graph6"], capture_output=True, text=True, env=_child_env(), timeout=60)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert "must name a regular file" in result.stderr
 
     def test_cap_fallback(self, tmp_path, capsys):
         src = tmp_path / "p9.txt"

@@ -19,7 +19,6 @@ from topoline.graph_core import (
 )
 from topoline.theorems import (
     GRAPH_CHECKS,
-    LemmaInstance,
     check_T1_m1_upper,
     check_T2_ga_sum,
     check_T3_line_identities,
@@ -29,11 +28,12 @@ from topoline.theorems import (
     check_T7_m1_line_identity,
     check_T8_ga_line_lower,
     check_T9_harmonic_bounds,
-    check_T10_lemma,
     check_T10_on_graph,
     check_T11_harmonic_sandwich,
     _combine,
     _compare,
+    _lemma_ints,
+    _lemma_result,
 )
 
 
@@ -217,30 +217,27 @@ class TestT9:
         assert r.satisfied  # includes both iff directions as sub-checks
 
 
+def _lemma(k, d_max, xs):
+    """The lemma on one integer tuple, through the kernel the graph check uses."""
+    return _lemma_result("T10", *_lemma_ints(k, d_max, xs))
+
+
 class TestT10:
     def test_tight_instance(self):
-        r = check_T10_lemma(LemmaInstance(3, 3, (1, 1, 1)))
+        r = _lemma(3, 3, (1, 1, 1))
         assert r.satisfied
         assert branch(r, "lemma_lower").lhs == Fraction(3, 4)
         assert branch(r, "lemma_lower").equality
         assert branch(r, "lemma_upper").rhs == Fraction(9, 8)
 
     def test_max_entries(self):
-        r = check_T10_lemma(LemmaInstance(3, 5, (5, 5, 5)))
+        r = _lemma(3, 5, (5, 5, 5))
         assert r.satisfied
         assert branch(r, "lemma_lower").lhs == Fraction(3, 8)
         assert branch(r, "lemma_lower").rhs == Fraction(1, 4)
 
     def test_mixed_entries(self):
-        assert check_T10_lemma(LemmaInstance(4, 4, (1, 2, 3, 4))).satisfied
-
-    def test_invariant_violations_raise(self):
-        with pytest.raises(ValueError):
-            LemmaInstance(2, 3, (1, 1))
-        with pytest.raises(ValueError):
-            LemmaInstance(3, 3, (1, 1, 4))
-        with pytest.raises(ValueError):
-            LemmaInstance(3, 3, (1, 1))
+        assert _lemma(4, 4, (1, 2, 3, 4)).satisfied
 
     def test_graph_instantiation(self):
         r = check_T10_on_graph(star_graph(4))
@@ -255,7 +252,7 @@ class TestT10:
         d_max = max(g.degrees)
         for u, got in zip(hubs, r.branches):
             xs = tuple(sorted(g.degrees[v] for v in g.adjacency[u]))
-            lemma = check_T10_lemma(LemmaInstance(g.degrees[u], d_max, xs))
+            lemma = _lemma(g.degrees[u], d_max, xs)
             assert check_to_dict(got) == check_to_dict(replace(lemma, theorem_id=f"T10.vertex{u}"))
 
 
@@ -266,14 +263,14 @@ def lemma_instances(draw):
     k = draw(st.integers(3, min(30, d_max)))
     pool = draw(st.lists(st.integers(1, d_max), min_size=1, max_size=3))
     xs = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
-    return LemmaInstance(k, d_max, tuple(xs))
+    return k, d_max, tuple(xs)
 
 
 class TestT10AgainstPairSumOracle:
     @given(lemma_instances())
     def test_same_result_as_the_pair_sums(self, inst):
-        k, d_max = inst.k, inst.max_degree
-        s_sum, t_sum = t10_sums_oracle(k, inst.xs)
+        k, d_max, xs = inst
+        s_sum, t_sum = t10_sums_oracle(k, xs)
         expected = _combine("T10", [
             _compare("T10.lemma_lower", s_sum, Fraction(2, k - 1) * t_sum, "lower"),
             _compare("T10.lemma_upper", s_sum,
@@ -281,7 +278,7 @@ class TestT10AgainstPairSumOracle:
             _compare("T10.corollary_lower", s_sum, Fraction(2, d_max - 1) * t_sum, "lower"),
             _compare("T10.corollary_upper", s_sum, Fraction(d_max + 3, 4) * t_sum, "upper"),
         ])
-        assert check_to_dict(check_T10_lemma(inst)) == check_to_dict(expected)
+        assert check_to_dict(_lemma(k, d_max, xs)) == check_to_dict(expected)
 
 
 def _t10_by_combine(r):
