@@ -39,8 +39,6 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from datetime import datetime, timezone
-
     from .harness import EnumerationSpec, verification_meta, verify_records
     from .io_formats import write_report
 
@@ -55,7 +53,12 @@ def _cmd_verify(args) -> int:
         non_trivial_only=args.non_trivial,
         source=args.source,
     )
-    timestamp = None if args.no_timestamp else datetime.now(timezone.utc).isoformat()
+    if args.no_timestamp:
+        timestamp = None
+    else:
+        from datetime import datetime, timezone
+
+        timestamp = datetime.now(timezone.utc).isoformat()
     meta = verification_meta(spec, theorems, timestamp=timestamp)
     fmt = "csv" if args.out.endswith(".csv") else "json"
     aggregates = write_report(meta, verify_records(spec, meta.theorems), fmt, args.out)

@@ -43,7 +43,10 @@ class Graph:
             raise GraphError(f"vertex count must be non-negative, got {self.n}")
         normalized = set()
         for pair in self.edges:
-            u, v = pair
+            try:
+                u, v = pair
+            except (TypeError, ValueError):
+                raise GraphError(f"edge {pair!r} is not a pair of vertices") from None
             if type(u) is not int or type(v) is not int:
                 try:
                     u, v = operator.index(u), operator.index(v)
@@ -55,6 +58,19 @@ class Graph:
                 raise GraphError(f"edge {tuple(pair)!r} out of range for n={self.n}")
             normalized.add((u, v) if u < v else (v, u))
         object.__setattr__(self, "edges", tuple(sorted(normalized)))
+
+    @classmethod
+    def _from_sorted_pairs(cls, n: int, edges: tuple[tuple[int, int], ...]) -> Graph:
+        """The graph on ``n`` vertices with exactly ``edges``, built unchecked.
+
+        ``edges`` must already be what ``__post_init__`` would make of it:
+        distinct ``(u, v)`` pairs of ints with ``0 <= u < v < n``, in sorted
+        order.  Nothing here checks it.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        return g
 
     @property
     def m(self) -> int:

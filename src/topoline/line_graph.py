@@ -9,7 +9,7 @@ vertex, which would silently break every index comparison downstream.
 from __future__ import annotations
 
 import functools
-from itertools import combinations
+from itertools import chain, combinations, repeat
 
 from .graph_core import Graph, GraphError
 
@@ -33,11 +33,13 @@ def line_graph(g: Graph) -> Graph:
     for i, (u, v) in enumerate(g.edges):
         incident[u].append(i)
         incident[v].append(i)
-    # Graph sorts the pairs itself; none repeats, as two edges share at most one end.
-    lg = Graph(g.m, tuple(p for inc in incident for p in combinations(inc, 2)))
+    # Each list is increasing, so every pair has i < j; none repeats, as two
+    # edges share at most one end.  So one sort gives Graph's normal form.
+    pairs = sorted(chain.from_iterable(map(combinations, incident, repeat(2))))
+    lg = Graph._from_sorted_pairs(g.m, tuple(pairs))
 
-    degs = g.degrees
+    degs, line_degs = g.degrees, lg.degrees
     for i, (u, v) in enumerate(g.edges):
-        if lg.degrees[i] != degs[u] + degs[v] - 2:
+        if line_degs[i] != degs[u] + degs[v] - 2:
             raise AssertionError(f"line-graph degree identity violated at edge {(u, v)}")
     return lg

@@ -44,9 +44,7 @@ T11  c_low * H(G) <= H(L(G)) <= c_high * H(G) with
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -62,7 +60,7 @@ from .graph_core import (
     is_non_trivial,
 )
 from .hyperbolicity import HyperbolicityCapError, hyperbolicity_constant
-from .indices import _ratio_sum, exact_sqrt
+from .indices import exact_sqrt
 from .line_graph import line_graph
 
 REAL_TOLERANCE = 1e-9
@@ -115,7 +113,18 @@ def _tolerance(diff: Value) -> float:
 
 
 def _compare(theorem_id: str, lhs: Value, rhs: Value, kind: str) -> BoundCheckResult:
-    """Build a result for lhs <= rhs ("upper"), lhs >= rhs ("lower") or lhs == rhs."""
+    """Build a result for lhs <= rhs ("upper"), lhs >= rhs ("lower") or lhs == rhs.
+
+    Two ``Fraction``s are decided from the numerator of rhs - lhs over the
+    product of their denominators: one cross-multiplication, no tolerance."""
+    if type(lhs) is Fraction and type(rhs) is Fraction:
+        ld, rd = lhs.denominator, rhs.denominator
+        num = rhs.numerator * ld - lhs.numerator * rd
+        if kind == "lower":
+            num = -num
+        elif kind != "upper":
+            num = -abs(num)
+        return BoundCheckResult(theorem_id, lhs, rhs, num >= 0, num == 0, Fraction(num, ld * rd))
     diff = rhs - lhs
     tolerance = _tolerance(diff)
     if kind == "upper":
@@ -348,18 +357,33 @@ def _lemma_ints(k: int, d_max: int, xs: Iterable[int]) -> tuple[int, int, list[_
     and its four bounds.
 
     S = sum c_v/(v+k) and T = sum_{v<w} c_v c_w/(v+w+2k-4) + sum_v C(c_v, 2)/(2v+2k-4)
-    over the distinct entries v with counts c_v stay integer fractions over
-    positive denominators, so each bound c T against S is decided by the sign
-    of one cross-multiplication; no :class:`Fraction` is built."""
-    counts = Counter(xs).items()
-    s_num, s_den = _ratio_sum([(c, v + k) for v, c in counts])
+    over the distinct entries v with counts c_v are summed as integer
+    numerators over the lcm of their distinct denominators.  With
+    st = s_num t_den and ts = t_num s_den, the bound (num/den) T against S
+    has rhs - S = (num ts - den st)/(den t_den s_den), so each bound is
+    decided by the sign of that numerator; no :class:`Fraction` is built."""
+    counts: dict[int, int] = {}
+    for x in xs:
+        counts[x] = counts.get(x, 0) + 1
+    s_den = math.lcm(*[v + k for v in counts])
+    s_num = 0
     shift = 2 * k - 4
-    t_terms = [(c * (c - 1) // 2, 2 * v + shift) for v, c in counts if c > 1]
-    t_terms += [
-        (cv * cw, v + w + shift)
-        for (v, cv), (w, cw) in itertools.combinations(counts, 2)
-    ]
-    t_num, t_den = _ratio_sum(t_terms)
+    t_terms: dict[int, int] = {}  # T's weight per distinct denominator
+    seen: list[tuple[int, int]] = []
+    for v, c in counts.items():
+        s_num += c * (s_den // (v + k))
+        if c > 1:
+            d = 2 * v + shift
+            t_terms[d] = t_terms.get(d, 0) + c * (c - 1) // 2
+        for w, cw in seen:
+            d = v + w + shift
+            t_terms[d] = t_terms.get(d, 0) + c * cw
+        seen.append((v, c))
+    t_den = math.lcm(*t_terms)
+    t_num = 0
+    for d, weight in t_terms.items():
+        t_num += weight * (t_den // d)
+    st, ts = s_num * t_den, t_num * s_den
     bounds = []
     # S against (num/den) T: an upper bound is S <= rhs, a lower one S >= rhs
     for name, num, den, upper in (
@@ -368,9 +392,8 @@ def _lemma_ints(k: int, d_max: int, xs: Iterable[int]) -> tuple[int, int, list[_
         ("T10.corollary_lower", 2, d_max - 1, False),
         ("T10.corollary_upper", d_max + 3, 4, True),
     ):
-        r_num, r_den = num * t_num, den * t_den
-        gap = r_num * s_den - s_num * r_den  # sign of rhs - S
-        bounds.append((name, r_num, r_den, gap if upper else -gap, gap == 0))
+        gap = num * ts - den * st  # sign of rhs - S
+        bounds.append((name, num * t_num, den * t_den, gap if upper else -gap, gap == 0))
     return s_num, s_den, bounds
 
 
@@ -430,7 +453,7 @@ def check_T10_on_graph(g: Graph) -> BoundCheckResult:
     decides each per-vertex result; those wait in ``branches`` for a reader."""
     degrees, adjacency = g.degrees, g.adjacency
     kept = [
-        (u, *_lemma_ints(degrees[u], g.max_degree, (degrees[v] for v in adjacency[u])))
+        (u, *_lemma_ints(degrees[u], g.max_degree, [degrees[v] for v in adjacency[u]]))
         for u in range(g.n) if degrees[u] >= 3
     ]
     if not kept:

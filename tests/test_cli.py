@@ -394,9 +394,12 @@ LAYERS = ("graph_core", "harness", "hyperbolicity", "indices", "io_formats", "li
           "theorems")
 
 
-def test_numpy_loaded_only_for_delta():
-    # Only the exact hyperbolicity search needs numpy, and the catalog listing
-    # and --help need no layer at all: start-up pays only for what runs.
+def test_numpy_loaded_only_for_delta(tmp_path):
+    # Only the exact hyperbolicity search needs numpy, only a timestamp needs
+    # datetime, and the catalog listing and --help need no layer at all:
+    # start-up pays only for what runs.
+    verify = ["verify", "--theorems", "T1,T2,T3,T4,T6,T7,T8,T9,T10,T11", "--n-min", "2",
+              "--n-max", "4", "--no-timestamp", "--out", str(tmp_path / "r.csv")]
     probe = (
         "import sys\n"
         f"layers = {[f'topoline.{layer}' for layer in LAYERS]!r}\n"
@@ -415,6 +418,9 @@ def test_numpy_loaded_only_for_delta():
         "else:\n"
         "    raise AssertionError('--help did not exit')\n"
         "assert_bare('topoline --help')\n"
+        f"assert topoline.cli.main({verify!r}) == 0\n"
+        "loaded = [m for m in ('numpy', 'datetime') if m in sys.modules]\n"
+        "assert not loaded, f'verify --no-timestamp without T5 loaded {loaded}'\n"
     )
     _run_probe(probe)
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import networkx as nx
 import numpy as np
@@ -59,6 +60,11 @@ class TestBuildGraph:
     @pytest.mark.parametrize("pair", [(0.5, 1), ("1", "2")])
     def test_labels_not_coerced(self, pair):
         with pytest.raises(GraphError, match="non-integer vertex label"):
+            Graph(3, (pair,))
+
+    @pytest.mark.parametrize("pair", [(0, 1, 2), 5])
+    def test_malformed_pair_rejected(self, pair):
+        with pytest.raises(GraphError, match=re.escape(f"edge {pair!r} is not a pair")):
             Graph(3, (pair,))
 
     def test_numpy_integer_labels_accepted(self):

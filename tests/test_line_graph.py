@@ -4,6 +4,8 @@ from hypothesis import given
 from conftest import nontrivial_graphs
 from oracles import line_graph_oracle
 from topoline.graph_core import (
+    Graph,
+    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -15,6 +17,13 @@ from topoline.graph_core import (
 from topoline.indices import compute_index_vector
 from topoline.io_formats import emit_graph6
 from topoline.line_graph import TrivialComponentError, line_graph
+
+
+def assert_same_as_checked(lg):
+    """L(G), built unchecked, equals and hashes as the Graph built from its edges."""
+    checked = Graph(lg.n, lg.edges)
+    assert lg == checked
+    assert hash(lg) == hash(checked)
 
 
 class TestLineGraph:
@@ -54,12 +63,23 @@ class TestLineGraph:
             lg = line_graph(g)
             assert lg.n == g.m, emit_graph6(g)
             assert lg.edges == line_graph_oracle(g), emit_graph6(g)
+            assert_same_as_checked(lg)
 
     @given(nontrivial_graphs())
     def test_labelled_edges_match_oracle(self, g):
         lg = line_graph(g)
         assert lg.n == g.m
         assert lg.edges == line_graph_oracle(g)
+        assert_same_as_checked(lg)
+
+    @pytest.mark.parametrize("g", [complete_graph(12), complete_bipartite_graph(8, 9),
+                                   cycle_graph(40)], ids=["K12", "K8,9", "C40"])
+    def test_labelled_edges_match_oracle_on_large_graphs(self, g):
+        # line graphs on 66, 72 and 40 vertices
+        lg = line_graph(g)
+        assert lg.n == g.m
+        assert lg.edges == line_graph_oracle(g)
+        assert_same_as_checked(lg)
 
     @given(nontrivial_graphs())
     def test_degree_bounds(self, g):

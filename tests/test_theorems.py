@@ -423,6 +423,39 @@ class TestT10Exhaustive:
         assert checked > 700  # most connected graphs on <= 7 vertices have a hub
 
 
+def _compare_by_operators(lhs, rhs, kind):
+    """_compare's rule on two Fractions by their operators: the slack is
+    rhs - lhs for "upper", lhs - rhs for "lower" and -|rhs - lhs| for an
+    identity; satisfied iff slack >= 0, equality iff the sides are equal."""
+    diff = rhs - lhs
+    slack = diff if kind == "upper" else -diff if kind == "lower" else -abs(diff)
+    return lhs, rhs, slack, slack >= 0, diff == 0
+
+
+@st.composite
+def fraction_sides(draw):
+    """Two Fractions, often equal, zero or of opposite signs."""
+    lhs = draw(st.one_of(st.just(Fraction(0)), st.fractions()))
+    rhs = draw(st.one_of(st.just(lhs), st.just(-lhs), st.just(Fraction(0)), st.fractions()))
+    return lhs, rhs
+
+
+class TestCompare:
+    @given(fraction_sides(), st.sampled_from(["upper", "lower", "identity"]))
+    def test_fractions_match_the_operator_rule(self, sides, kind):
+        lhs, rhs = sides
+        r = _compare("T", lhs, rhs, kind)
+        assert (r.lhs, r.rhs, r.slack, r.satisfied, r.equality) == \
+            _compare_by_operators(lhs, rhs, kind)
+        assert type(r.slack) is Fraction
+
+    def test_float_operand_takes_the_tolerance(self):
+        # 1 + 1e-12 <= 1 fails exactly, but holds, tightly, within REAL_TOLERANCE
+        r = _compare("T", 1 + 1e-12, Fraction(1), "upper")
+        assert r.satisfied and r.equality
+        assert type(r.slack) is float and -1e-9 < r.slack < 0
+
+
 class TestDispatchAndApplicability:
     def test_all_checks_on_disconnected_nontrivial(self):
         g = disjoint_union(cycle_graph(3), cycle_graph(4))
