@@ -27,14 +27,19 @@ VIOLATIONS_FOUND = 1
 
 
 def _cmd_compute(args) -> int:
-    from .io_formats import ReportMeta, graph_record, read_graph_file, write_report
+    from .io_formats import ReportMeta, graph_label, graph_record, read_graph_file, write_report
     from .line_graph import line_graph
 
-    graphs = read_graph_file(args.infile, args.format)
-    if args.line_graph:
-        graphs = map(line_graph, graphs)
-    records = (graph_record(g, g.index_vector) for g in graphs)
-    write_report(ReportMeta(), records, "index_csv" if args.emit == "csv" else "json", args.out)
+    def records():
+        for g in read_graph_file(args.infile, args.format):
+            try:  # line_graph and index_vector refuse a graph; name G, not L(G)
+                h = line_graph(g) if args.line_graph else g
+                record = graph_record(h, h.index_vector)
+            except ValueError as exc:
+                raise ValueError(f"graph {graph_label(g)}: {exc}") from None
+            yield record
+
+    write_report(ReportMeta(), records(), "index_csv" if args.emit == "csv" else "json", args.out)
     return 0
 
 

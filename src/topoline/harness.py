@@ -34,7 +34,6 @@ from .indices import IsolatedVertexError
 from .io_formats import (
     GraphRecord,
     ReportMeta,
-    emit_graph6,
     graph_record,
     parse_graph6,
     read_graph6_texts,
@@ -86,10 +85,6 @@ def enumerate_trees(n: int) -> tuple[Graph, ...]:
     return trees
 
 
-def _graph_key(g: Graph) -> str:
-    return canonical_form(g) if g.n <= CANONICAL_CAP else emit_graph6(g)
-
-
 def _first_texts(spec: EnumerationSpec) -> dict[tuple[int, str], str]:
     """(n, key) -> graph6 text of the first graph of ``spec.source`` with that
     order and key, over the orders in range; one pass, one line at a time.
@@ -114,7 +109,8 @@ def _source_graphs(spec: EnumerationSpec) -> Iterator[Graph]:
 
 
 def enumerate_graphs(spec: EnumerationSpec) -> Iterator[Graph]:
-    """One representative per isomorphism class, in (n, key) order (see `_graph_key`)."""
+    """One representative per isomorphism class, in (n, key) order; the key
+    is the canonical form, or past ``CANONICAL_CAP`` the graph6 text."""
     origin = Graph(min(spec.n_min, 0))  # GraphError for a negative n_min, before a file is read
     if spec.n_min > spec.n_max:
         return
@@ -245,8 +241,5 @@ def extremal_search(index: str, objective: str, graph_class: str,
 
     sign = 1 if objective == "max" else -1
     best = max(sign * v for _, v in values)
-    winners = [
-        (g, v) for g, v in values if abs(gap := sign * v - best) <= _tolerance(gap)
-    ]
-    winners.sort(key=lambda pair: _graph_key(pair[0]))
-    return winners
+    # in canonical-key order, as each class's members arrive
+    return [(g, v) for g, v in values if abs(gap := sign * v - best) <= _tolerance(gap)]

@@ -138,8 +138,6 @@ def _edge_list(lines: Iterable[str]) -> Graph:
     """
     n: int | None = None
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    duplicates = 0
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -169,19 +167,16 @@ def _edge_list(lines: Iterable[str]) -> Graph:
             raise EdgeListError(f"loop edge {u} {v} is not allowed", lineno)
         if not (0 <= u < n and 0 <= v < n):
             raise EdgeListError(f"vertex out of range [0, {n}) in {line!r}", lineno)
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            duplicates += 1
-        else:
-            seen.add(key)
-            edges.append(key)
+        edges.append((u, v) if u < v else (v, u))
     if n is None:
         raise EdgeListError("missing vertex count line", 1)
+    g = Graph(n, tuple(edges))
+    duplicates = len(edges) - g.m
     if duplicates:
         import logging  # only here: every other run would pay for its import
 
         logging.getLogger(__name__).warning("edge list contained %d duplicate edge(s)", duplicates)
-    return Graph(n, tuple(edges))
+    return g
 
 
 def _ascii_lines(fh: TextIO, fmt: str) -> Iterator[str]:

@@ -8,6 +8,12 @@ index or the hyperbolicity bound fall back to floats with tolerance 1e-9.
 Checks whose preconditions fail return a first-class not-applicable result
 rather than being skipped, so reports account for coverage.
 
+Every result comes from one of six rules: ``_not_applicable``, ``_compare``
+(one bound), ``_combine`` (every part must hold), ``_loosest`` (the loosest
+of several named bounds decides: T1, T6), ``_equality_iff`` (an "equality
+iff" claim: T9) and ``_lemma_decision`` (T10, for one bound, one vertex or
+the graph).  No check body builds a result itself.
+
 Each graph check declares one of three cumulative precondition levels:
 
 standing     the standing assumption: n >= 1, m >= 1, no isolated vertex
@@ -149,6 +155,24 @@ def _combine(theorem_id: str, parts: list[BoundCheckResult], reason: str = "") -
     )
 
 
+def _loosest(theorem_id: str, lhs: Value, kind: str,
+             bounds: Sequence[tuple[str, Value]]) -> BoundCheckResult:
+    """lhs against the loosest of the named ``bounds`` ("upper": the largest
+    rhs, "lower": the smallest); each bound is recorded as a branch."""
+    rhs = (max if kind == "upper" else min)((r for _, r in bounds), key=float)
+    return replace(_compare(theorem_id, lhs, rhs, kind),
+                   branches=tuple(_compare(name, lhs, r, kind) for name, r in bounds))
+
+
+def _equality_iff(theorem_id: str, bound: BoundCheckResult, what: str,
+                  flag: bool) -> BoundCheckResult:
+    """The claim "``bound`` is tight iff ``what``", given whether ``what`` holds."""
+    return BoundCheckResult(
+        theorem_id, None, None, satisfied=bound.equality == flag, equality=False, slack=None,
+        reason=f"equality={bound.equality}, {what}={flag}",
+    )
+
+
 #: Precondition levels, each implying the ones before it.
 _LEVELS = ("standing", "non_trivial", "cyclic")
 
@@ -217,16 +241,8 @@ def _t1_expressions(max_degree: int, m: int) -> tuple[Fraction, Fraction, Fracti
 @_check("T1")
 def check_T1_m1_upper(g: Graph) -> BoundCheckResult:
     e1, e2, e3 = _t1_expressions(g.max_degree, g.m)
-    lhs = g.index_vector.m1
-    # only the max binds; per-expression results are recorded for audit
-    return replace(
-        _compare("T1", lhs, max(e1, e2, e3), "upper"),
-        branches=(
-            _compare("T1.near_max_sum", lhs, e1, "upper"),
-            _compare("T1.two_high_degrees", lhs, e2, "upper"),
-            _compare("T1.edge_product", lhs, e3, "upper"),
-        ),
-    )
+    return _loosest("T1", g.index_vector.m1, "upper", (
+        ("T1.near_max_sum", e1), ("T1.two_high_degrees", e2), ("T1.edge_product", e3)))
 
 
 @_check("T2", needs="non_trivial")
@@ -288,17 +304,10 @@ def ga_hyperbolicity_bound(g: Graph, delta: Fraction) -> BoundCheckResult:
 def check_T6_ga_vs_m1(g: Graph) -> BoundCheckResult:
     d_max, d_min = g.max_degree, g.min_degree
     iv = g.index_vector
-    ga = iv.ga1_value()
     c1 = Fraction(1, 2 * d_max)
     c2 = 2 * _sqrt_ratio(d_max * d_min, (d_max + d_min) ** 2)
-    # only the min binds; both coefficient branches are recorded for audit
-    return replace(
-        _compare("T6", ga, min(c1, c2, key=float) * iv.m1, "lower"),
-        branches=(
-            _compare("T6.max_degree_branch", ga, c1 * iv.m1, "lower"),
-            _compare("T6.mixed_branch", ga, c2 * iv.m1, "lower"),
-        ),
-    )
+    return _loosest("T6", iv.ga1_value(), "lower", (
+        ("T6.max_degree_branch", c1 * iv.m1), ("T6.mixed_branch", c2 * iv.m1)))
 
 
 @_check("T7", needs="non_trivial")
@@ -319,42 +328,25 @@ def check_T8_ga_line_lower(g: Graph) -> BoundCheckResult:
 
 @_check("T9")
 def check_T9_harmonic_bounds(g: Graph) -> BoundCheckResult:
-    regular = all_regular(g)
-
-    parts = [_compare("T9.order_bound", g.index_vector.harmonic, Fraction(g.n, 2), "upper")]
-    parts.append(
-        BoundCheckResult(
-            "T9.order_equality_iff_regular", None, None,
-            satisfied=parts[0].equality == regular, equality=False, slack=None,
-            reason=f"equality={parts[0].equality}, all components regular={regular}",
-        )
-    )
-    if is_non_trivial(g):
-        hl = line_graph(g).index_vector.harmonic
-        line_bound = _compare("T9.line_bound", hl, Fraction(g.m, 2), "upper")
-        parts.append(line_bound)
-        flag = all_regular_or_biregular(g)
-        parts.append(
-            BoundCheckResult(
-                "T9.line_equality_iff_regular_or_biregular", None, None,
-                satisfied=line_bound.equality == flag, equality=False, slack=None,
-                reason=f"equality={line_bound.equality}, all components regular-or-biregular={flag}",
-            )
-        )
-        reason = ""
-    else:
-        reason = "line branch skipped: trivial graph"
-    return _combine("T9", parts, reason=reason)
+    order = _compare("T9.order_bound", g.index_vector.harmonic, Fraction(g.n, 2), "upper")
+    parts = [order, _equality_iff("T9.order_equality_iff_regular", order,
+                                  "all components regular", all_regular(g))]
+    if not is_non_trivial(g):
+        return _combine("T9", parts, reason="line branch skipped: trivial graph")
+    line = _compare("T9.line_bound", line_graph(g).index_vector.harmonic, Fraction(g.m, 2), "upper")
+    return _combine("T9", [*parts, line, _equality_iff(
+        "T9.line_equality_iff_regular_or_biregular", line,
+        "all components regular-or-biregular", all_regular_or_biregular(g))])
 
 
-#: One bound of the lemma on integers: (name, r_num, r_den, slack_num, tight)
-#: for the bound r = r_num/r_den, whose slack is slack_num/(r_den s_den).
-_LemmaBound = tuple[str, int, int, int, bool]
+#: One bound of the lemma on integers: (name, s_num, s_den, r_num, r_den,
+#: slack_num) for S = s_num/s_den against the bound r = r_num/r_den, whose
+#: slack is slack_num/(r_den s_den); the bound is tight iff slack_num == 0.
+_LemmaBound = tuple[str, int, int, int, int, int]
 
 
-def _lemma_ints(k: int, d_max: int, xs: Iterable[int]) -> tuple[int, int, list[_LemmaBound]]:
-    """The lemma on a tuple known to be valid, as integers: S = s_num/s_den
-    and its four bounds.
+def _lemma_ints(k: int, d_max: int, xs: Iterable[int]) -> list[_LemmaBound]:
+    """The lemma's four bounds on a tuple known to be valid, as integers.
 
     S = sum c_v/(v+k) and T = sum_{v<w} c_v c_w/(v+w+2k-4) + sum_v C(c_v, 2)/(2v+2k-4)
     over the distinct entries v with counts c_v are summed as integer
@@ -393,50 +385,41 @@ def _lemma_ints(k: int, d_max: int, xs: Iterable[int]) -> tuple[int, int, list[_
         ("T10.corollary_upper", d_max + 3, 4, True),
     ):
         gap = num * ts - den * st  # sign of rhs - S
-        bounds.append((name, num * t_num, den * t_den, gap if upper else -gap, gap == 0))
-    return s_num, s_den, bounds
+        bounds.append((name, s_num, s_den, num * t_num, den * t_den, gap if upper else -gap))
+    return bounds
 
 
-def _lemma_decision(theorem_id: str, entries: list[tuple[int, int, _LemmaBound]],
-                    branches: Sequence[BoundCheckResult]) -> BoundCheckResult:
-    """The lemma's result over ``(s_num, s_den, bound)`` entries, decided from
-    their integers: satisfied if every slack numerator is >= 0, equality if
-    also some bound is tight, and the binding bound the first least slack,
-    keyed by ``slack_num / (r_den * s_den)``: int/int true division rounds
-    correctly, so this is the ``float`` of the slack that :func:`_combine`
+def _lemma_decision(theorem_id: str, bounds: Sequence[_LemmaBound],
+                    branches: Sequence[BoundCheckResult] = ()) -> BoundCheckResult:
+    """The lemma's result over ``bounds`` (one bound, one vertex's four, or
+    every vertex's), decided from their integers: satisfied if every slack
+    numerator is >= 0, equality if also one is 0, and the binding bound the
+    first least slack, keyed by ``slack_num / (r_den * s_den)``, which int/int
+    true division rounds to the ``float`` of the slack that :func:`_combine`
     keys on.  Only the binding bound becomes :class:`Fraction`s."""
-    satisfied = all(b[3] >= 0 for _, _, b in entries)
-    equality = satisfied and any(b[4] for _, _, b in entries)
-    s_num, s_den, (_, r_num, r_den, slack, _) = min(
-        entries, key=lambda e: e[2][3] / (e[2][2] * e[1]))
+    satisfied = all(b[5] >= 0 for b in bounds)
+    equality = satisfied and any(b[5] == 0 for b in bounds)
+    _, s_num, s_den, r_num, r_den, slack = min(bounds, key=lambda b: b[5] / (b[4] * b[2]))
     return BoundCheckResult(theorem_id, Fraction(s_num, s_den), Fraction(r_num, r_den),
                             satisfied, equality, Fraction(slack, r_den * s_den),
                             branches=branches)
 
 
-def _lemma_result(theorem_id: str, s_num: int, s_den: int,
-                  bounds: list[_LemmaBound]) -> BoundCheckResult:
-    """The lemma's result named ``theorem_id`` from :func:`_lemma_ints`, with
-    its four bound results as ``branches``."""
-    lhs = Fraction(s_num, s_den)
-    return _lemma_decision(theorem_id, [(s_num, s_den, b) for b in bounds], tuple(
-        BoundCheckResult(name, lhs, Fraction(r_num, r_den), slack >= 0, tight,
-                         Fraction(slack, r_den * s_den))
-        for name, r_num, r_den, slack, tight in bounds
-    ))
+def _lemma_result(theorem_id: str, bounds: Sequence[_LemmaBound]) -> BoundCheckResult:
+    """One vertex's lemma result from :func:`_lemma_ints`, each bound a branch."""
+    return _lemma_decision(theorem_id, bounds, tuple(_lemma_decision(b[0], [b]) for b in bounds))
 
 
 class _VertexLemmas(Sequence):
     """T10's per-vertex results ``T10.vertex{u}``, built from the kept
     integers on first access and then held; ``len()`` builds nothing."""
 
-    def __init__(self, kept: list[tuple[int, int, int, list[_LemmaBound]]]) -> None:
-        self._kept = kept  # (u, s_num, s_den, bounds) per vertex of degree >= 3
+    def __init__(self, kept: list[tuple[int, list[_LemmaBound]]]) -> None:
+        self._kept = kept  # (u, bounds) per vertex of degree >= 3
 
     @functools.cached_property
     def _results(self) -> tuple[BoundCheckResult, ...]:
-        return tuple(_lemma_result(f"T10.vertex{u}", s_num, s_den, bounds)
-                     for u, s_num, s_den, bounds in self._kept)
+        return tuple(_lemma_result(f"T10.vertex{u}", bounds) for u, bounds in self._kept)
 
     def __len__(self) -> int:
         return len(self._kept)
@@ -449,18 +432,14 @@ class _VertexLemmas(Sequence):
 def check_T10_on_graph(g: Graph) -> BoundCheckResult:
     """Instantiate the lemma at every vertex of degree >= 3 (k = d_u, xs = neighbor degrees).
 
-    :func:`_lemma_decision` decides it over every vertex's bounds, as it
-    decides each per-vertex result; those wait in ``branches`` for a reader."""
+    :func:`_lemma_decision` decides it over every vertex's bounds; the
+    per-vertex results wait in ``branches`` for a reader."""
     degrees, adjacency = g.degrees, g.adjacency
-    kept = [
-        (u, *_lemma_ints(degrees[u], g.max_degree, [degrees[v] for v in adjacency[u]]))
-        for u in range(g.n) if degrees[u] >= 3
-    ]
+    kept = [(u, _lemma_ints(degrees[u], g.max_degree, [degrees[v] for v in adjacency[u]]))
+            for u in range(g.n) if degrees[u] >= 3]
     if not kept:
         return _not_applicable("T10", "no vertex of degree >= 3")
-    return _lemma_decision(
-        "T10", [(s_num, s_den, b) for _, s_num, s_den, bounds in kept for b in bounds],
-        _VertexLemmas(kept))
+    return _lemma_decision("T10", [b for _, bounds in kept for b in bounds], _VertexLemmas(kept))
 
 
 @_check("T11", needs="non_trivial")

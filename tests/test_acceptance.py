@@ -103,7 +103,7 @@ def test_criterion_4_lemma_brute_force():
         for k in range(3, d_max + 1):
             for xs in itertools.product(range(1, d_max + 1), repeat=k):
                 cases += 1
-                result = _lemma_result("T10", *_lemma_ints(k, d_max, xs))
+                result = _lemma_result("T10", _lemma_ints(k, d_max, xs))
                 if not result.satisfied:
                     failures.append((k, d_max, xs))
     assert cases == 27 + 64 + 256 + 125 + 625 + 3125

@@ -128,6 +128,22 @@ class TestCompute:
         assert out.read_bytes() == b"an earlier report\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.g6", "out.csv"]
 
+    @pytest.mark.parametrize("fmt, text, extra, refused", [
+        ("graph6", emit_graph6(cycle_graph(4)) + "\n" + emit_graph6(Graph(3, ((0, 1),))) + "\n",
+         [], Graph(3, ((0, 1),))),
+        ("edgelist", "2\n0 1\n", ["--line-graph"], path_graph(2)),
+    ], ids=["isolated-vertex", "line-graph-of-K2"])
+    def test_refused_graph_is_named(self, tmp_path, capsys, fmt, text, extra, refused):
+        # under --line-graph the error still names G, not L(G)
+        src = tmp_path / "in.txt"
+        src.write_text(text)
+        out = tmp_path / "out.csv"
+        code = main(["compute", "--in", str(src), "--format", fmt, *extra,
+                     "--emit", "csv", "--out", str(out)])
+        assert code == 2
+        assert f"error: graph {emit_graph6(refused)}: " in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [
         ["compute", "--emit", "json", "--out", "{out}"],
         ["hyperbolicity"],

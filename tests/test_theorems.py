@@ -161,6 +161,36 @@ class TestT6:
         assert check_T6_ga_vs_m1(g).equality
 
 
+_LOOSEST = pytest.mark.parametrize("check, pick", [
+    (check_T1_m1_upper, max),
+    (check_T6_ga_vs_m1, lambda rhss: min(rhss, key=float)),
+], ids=["T1", "T6"])
+
+
+class TestLoosestBound:
+    """T1 and T6 hold iff one of their named bounds does: the headline is the
+    loosest branch, every branch compares the same lhs."""
+
+    @staticmethod
+    def assert_loosest(r, pick):
+        if not r.applicable:
+            return
+        assert all(b.lhs == r.lhs for b in r.branches)
+        assert r.rhs == pick([b.rhs for b in r.branches])
+        assert r.satisfied == any(b.satisfied for b in r.branches)
+
+    @_LOOSEST
+    def test_every_graph_upto_7(self, graphs_upto_7, check, pick):
+        for g in graphs_upto_7:
+            self.assert_loosest(check(g), pick)
+
+    @_LOOSEST
+    @given(g=connected_graphs(max_n=12))
+    @settings(max_examples=60)
+    def test_draws(self, check, pick, g):
+        self.assert_loosest(check(g), pick)
+
+
 class TestT7:
     @pytest.mark.parametrize(
         "g,expected",
@@ -219,7 +249,7 @@ class TestT9:
 
 def _lemma(k, d_max, xs):
     """The lemma on one integer tuple, through the kernel the graph check uses."""
-    return _lemma_result("T10", *_lemma_ints(k, d_max, xs))
+    return _lemma_result("T10", _lemma_ints(k, d_max, xs))
 
 
 class TestT10:
