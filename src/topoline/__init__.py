@@ -12,10 +12,8 @@ _EXPORTS = {
     "catalog": ("ENUMERATION_CAP", "THEOREM_IDS", "THEOREM_STATEMENTS"),
     "graph_core": (
         "CANONICAL_CAP", "CanonicalCapError", "ComponentInfo", "Graph", "GraphError",
-        "all_regular", "all_regular_or_biregular", "canonical_form",
-        "complete_bipartite_graph", "complete_graph", "components", "cycle_graph",
-        "disjoint_union", "is_connected", "is_forest", "is_isomorphic", "is_non_trivial",
-        "path_graph", "star_graph",
+        "all_regular", "all_regular_or_biregular", "canonical_form", "components",
+        "is_connected", "is_forest", "is_non_trivial",
     ),
     "harness": (
         "EnumerationCapError", "EnumerationSpec", "enumerate_graphs", "enumerate_trees",

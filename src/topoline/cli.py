@@ -2,10 +2,12 @@
 
 Exit codes: 0 success, 1 bound violations found, 2 usage or parse errors.
 
-Each command imports its layers when it runs, so ``theorems`` and ``--help``
-load only the catalogue, and ``compute`` and ``hyperbolicity`` load neither
-the harness nor the theorem checks.  Every file a command reads or writes
-goes through :mod:`.io_formats`.
+One I/O contract: a command reads its input once, as a stream (so a pipe will
+do), spools its output so that a failure leaves it untouched, and takes a
+report's format from its path (``.csv`` for CSV, JSON otherwise).  Each
+command imports its layers when it runs, so ``theorems`` and ``--help`` load
+only the catalogue, and ``compute`` and ``hyperbolicity`` load neither the
+harness nor the theorem checks; every file goes through :mod:`.io_formats`.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ def _cmd_compute(args) -> int:
                 raise ValueError(f"graph {graph_label(g)}: {exc}") from None
             yield record
 
-    write_report(ReportMeta(), records(), "index_csv" if args.emit == "csv" else "json", args.out)
+    write_report(ReportMeta(), records(), "index_csv" if args.out.endswith(".csv") else "json", args.out)
     return 0
 
 
@@ -79,34 +81,33 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_hyperbolicity(args) -> int:
-    import os
-    import stat
+    import shutil
+    import tempfile
 
     from .hyperbolicity import (
         HyperbolicityCapError,
         hyperbolicity_constant,
         hyperbolicity_upper_bound,
     )
-    from .io_formats import format_value, graph_label, read_graph6_texts, read_graph_file
+    from .io_formats import format_value, graph_label, read_graph_file
 
     if args.cap < 0:
         raise ValueError(f"--cap must be non-negative, got {args.cap}")
-    if args.format == "graph6":  # read twice, checked then streamed: a pipe would read empty
-        if not stat.S_ISREG(os.stat(args.infile).st_mode):
-            raise ValueError(f"--in must name a regular file for graph6 input: {args.infile!r}")
-        for _ in read_graph6_texts(args.infile):
-            pass
-    for g in read_graph_file(args.infile, args.format):
-        label = graph_label(g)
-        try:
-            result = hyperbolicity_constant(g, cap=args.cap)
-        except HyperbolicityCapError:
-            bound = hyperbolicity_upper_bound(g)
-            print(f"{label} delta<=m/4={format_value(bound)} (exact computation capped at n={args.cap})")
-            continue
-        witness = result.witness
-        probe = f" witness probe {witness.probe}" if witness else ""
-        print(f"{label} delta={format_value(result.delta)}{probe}")
+    with tempfile.TemporaryFile("w+") as spool:  # printed after the last graph is read
+        for g in read_graph_file(args.infile, args.format):
+            label = graph_label(g)
+            try:
+                result = hyperbolicity_constant(g, cap=args.cap)
+            except HyperbolicityCapError:
+                bound = format_value(hyperbolicity_upper_bound(g))
+                why = f"capped at n={args.cap}" if g.n > args.cap else "past its work budget"
+                print(f"{label} delta<=m/4={bound} (exact computation {why})", file=spool)
+                continue
+            witness = result.witness
+            probe = f" witness probe {witness.probe}" if witness else ""
+            print(f"{label} delta={format_value(result.delta)}{probe}", file=spool)
+        spool.seek(0)
+        shutil.copyfileobj(spool, sys.stdout)
     return 0
 
 
@@ -140,8 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--format", choices=("graph6", "edgelist"), required=True)
     p.add_argument("--line-graph", action="store_true", help="compute on L(G) instead of G")
-    p.add_argument("--out", required=True)
-    p.add_argument("--emit", choices=("json", "csv"), required=True)
+    p.add_argument("--out", required=True, help="report path (.csv for CSV, JSON otherwise)")
     p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("verify", help="run theorem checks over an enumeration or a file")

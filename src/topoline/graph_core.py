@@ -2,7 +2,7 @@
 
 Vertices are dense 0-indexed integers.  A :class:`Graph` is a hashable value:
 two graphs compare equal iff they have the same vertex count and edge set
-(labels matter; use :func:`is_isomorphic` for label-free comparison).
+(labels matter; compare :func:`canonical_form` keys for label-free comparison).
 Disconnected graphs are first-class; every predicate that the literature states
 "per connected component" is evaluated per component here.
 """
@@ -130,41 +130,6 @@ class Graph:
 
 
 # ---------------------------------------------------------------------------
-# Standard small-graph constructors (used heavily by tests and the CLI docs).
-
-def path_graph(n: int) -> Graph:
-    if n < 1:
-        raise GraphError("path needs n >= 1")
-    return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise GraphError("cycle needs n >= 3")
-    return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
-
-
-def star_graph(n: int) -> Graph:
-    """Star on ``n`` vertices: center 0 joined to 1..n-1."""
-    if n < 1:
-        raise GraphError("star needs n >= 1")
-    return Graph(n, tuple((0, i) for i in range(1, n)))
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
-
-
-def complete_bipartite_graph(a: int, b: int) -> Graph:
-    return Graph(a + b, tuple((i, a + j) for i in range(a) for j in range(b)))
-
-
-def disjoint_union(g1: Graph, g2: Graph) -> Graph:
-    shifted = tuple((u + g1.n, v + g1.n) for u, v in g2.edges)
-    return Graph(g1.n + g2.n, g1.edges + shifted)
-
-
-# ---------------------------------------------------------------------------
 # Degrees and components.
 
 @dataclass(frozen=True)
@@ -242,7 +207,7 @@ def all_regular_or_biregular(g: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Canonical form and isomorphism.
+# Canonical form.
 #
 # The key is the lexicographically minimal upper-triangular adjacency bit
 # string over all vertex permutations, with bits read column by column:
@@ -306,17 +271,3 @@ def with_canonical_key(g: Graph, key: str) -> Graph:
     """
     object.__setattr__(g, "_canonical_key", key)  # where the cached property keeps it
     return g
-
-
-def is_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Exact isomorphism test by canonical-form comparison.
-
-    Intended for small graphs (n <= 10); larger inputs are accepted but the
-    canonical search may be slow.
-    """
-    if g1.n != g2.n or g1.m != g2.m:
-        return False
-    if sorted(g1.degrees) != sorted(g2.degrees):
-        return False
-    cap = max(CANONICAL_CAP, g1.n)
-    return canonical_form(g1, cap=cap) == canonical_form(g2, cap=cap)

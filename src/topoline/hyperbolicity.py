@@ -52,6 +52,11 @@ from .graph_core import Graph, is_forest
 
 GRANULARITIES = (4, 8)  # k = 2 is not exact: it samples delta(C5) = 5/4 as 1
 DEFAULT_GRANULARITY = 4
+# Most cells the search's F table may hold, (n + m)(n + (k-1)m)^2 at granularity
+# k.  Peak memory grows by about 10 bytes a cell (K14 at k = 4: 8.6 M cells,
+# 87 MB), so the budget holds a search to under 1 GB.  No graph with n <= 8
+# needs more than 1.5 M cells, even at k = 8.
+SEARCH_CELL_BUDGET = 1 << 26
 
 
 class HyperbolicityCapError(ValueError):
@@ -196,8 +201,17 @@ def hyperbolicity_constant(
     granularity: int = DEFAULT_GRANULARITY,
     cap: int = DEFAULT_VERTEX_CAP,
 ) -> HyperbolicityResult:
-    """Exact delta(G); disconnected graphs take the maximum over components."""
+    """Exact delta(G); disconnected graphs take the maximum over components.
+
+    Refused past ``cap`` vertices or ``SEARCH_CELL_BUDGET`` search-table cells.
+    """
     _refuse_past_cap(g.n, cap)
+    cells = (g.n + g.m) * (g.n + (granularity - 1) * g.m) ** 2
+    if cells > SEARCH_CELL_BUDGET:
+        raise HyperbolicityCapError(
+            f"n={g.n}, m={g.m} needs {cells} search-table cells, past the work budget "
+            f"{SEARCH_CELL_BUDGET}; fall back to hyperbolicity_upper_bound() = m/4"
+        )
     lat = subdivided_distances(g, granularity)
     # an edgeless graph has only trivial triangles (and n = 0 an empty lattice)
     best, witness, evaluations, corner_points = _lattice_delta(lat) if g.m else (0, None, 0, 0)

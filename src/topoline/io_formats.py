@@ -214,7 +214,9 @@ def read_graph_file(path: str, fmt: str) -> Iterator[Graph]:
 def read_graph6_texts(path: str) -> Iterator[tuple[int, str]]:
     """(n, text) for each graph of a graph6 file: its order and its line
     without the header.  Each line is checked exactly as :func:`read_graph_file`
-    checks it, with the same errors in the same order, but not decoded."""
+    checks it, with the same errors in the same order, but not decoded.  Its
+    one caller is ``harness._first_texts``, for which decoding and re-encoding
+    each line would cost more than the check."""
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         yield from _graph6_lines(_ascii_lines(fh, "graph6"), _check_graph6)
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from topoline.graph_core import Graph, GraphError
+from topoline.graph_core import CANONICAL_CAP, Graph, GraphError, canonical_form
 from topoline.harness import EnumerationSpec, enumerate_graphs, verification_meta, verify_records
 from topoline.io_formats import _edge_list, write_report
 
@@ -71,6 +71,52 @@ def permute(g: Graph, perm) -> Graph:
     if sorted(perm) != list(range(g.n)):
         raise GraphError(f"not a permutation of 0..{g.n - 1}: {perm!r}")
     return Graph(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))
+
+
+def path_graph(n: int) -> Graph:
+    if n < 1:
+        raise GraphError("path needs n >= 1")
+    return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
+
+
+def cycle_graph(n: int) -> Graph:
+    if n < 3:
+        raise GraphError("cycle needs n >= 3")
+    return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
+
+
+def star_graph(n: int) -> Graph:
+    """Star on ``n`` vertices: center 0 joined to 1..n-1."""
+    if n < 1:
+        raise GraphError("star needs n >= 1")
+    return Graph(n, tuple((0, i) for i in range(1, n)))
+
+
+def complete_graph(n: int) -> Graph:
+    return Graph(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
+
+
+def complete_bipartite_graph(a: int, b: int) -> Graph:
+    return Graph(a + b, tuple((i, a + j) for i in range(a) for j in range(b)))
+
+
+def disjoint_union(g1: Graph, g2: Graph) -> Graph:
+    shifted = tuple((u + g1.n, v + g1.n) for u, v in g2.edges)
+    return Graph(g1.n + g2.n, g1.edges + shifted)
+
+
+def is_isomorphic(g1: Graph, g2: Graph) -> bool:
+    """Exact isomorphism test by canonical-form comparison.
+
+    Intended for small graphs (n <= 10); larger inputs are accepted but the
+    canonical search may be slow.
+    """
+    if g1.n != g2.n or g1.m != g2.m:
+        return False
+    if sorted(g1.degrees) != sorted(g2.degrees):
+        return False
+    cap = max(CANONICAL_CAP, g1.n)
+    return canonical_form(g1, cap=cap) == canonical_form(g2, cap=cap)
 
 
 def parse_edge_list(text: str) -> Graph:

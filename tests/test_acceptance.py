@@ -11,18 +11,14 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
+from conftest import complete_graph, cycle_graph, is_isomorphic, path_graph, star_graph
 from oracles import delta_oracle
 from topoline.graph_core import (
     all_regular,
     all_regular_or_biregular,
-    complete_graph,
-    cycle_graph,
     is_connected,
     is_forest,
-    is_isomorphic,
     is_non_trivial,
-    path_graph,
-    star_graph,
 )
 from topoline.harness import (
     enumerate_trees,

@@ -9,16 +9,16 @@ from pathlib import Path
 import pytest
 
 import topoline
-from conftest import emit_edge_list
-from topoline.cli import main
-from topoline.graph_core import (
-    Graph,
+from conftest import (
     complete_graph,
     cycle_graph,
-    is_connected,
+    emit_edge_list,
+    is_isomorphic,
     path_graph,
     star_graph,
 )
+from topoline.cli import main
+from topoline.graph_core import Graph, is_connected
 from topoline.io_formats import emit_graph6
 
 
@@ -34,7 +34,7 @@ class TestCompute:
     def test_json(self, g6_file, tmp_path):
         out = tmp_path / "out.json"
         code = main(["compute", "--in", str(g6_file), "--format", "graph6",
-                     "--out", str(out), "--emit", "json"])
+                     "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
         assert len(doc["records"]) == 2
@@ -43,7 +43,7 @@ class TestCompute:
     def test_csv_line_graph(self, g6_file, tmp_path):
         out = tmp_path / "out.csv"
         code = main(["compute", "--in", str(g6_file), "--format", "graph6",
-                     "--line-graph", "--out", str(out), "--emit", "csv"])
+                     "--line-graph", "--out", str(out)])
         assert code == 0
         rows = out.read_text().splitlines()
         assert rows[0].startswith("graph_key")
@@ -54,14 +54,14 @@ class TestCompute:
         src.write_text(emit_edge_list(path_graph(4)))
         out = tmp_path / "out.json"
         assert main(["compute", "--in", str(src), "--format", "edgelist",
-                     "--out", str(out), "--emit", "json"]) == 0
+                     "--out", str(out)]) == 0
 
     def test_edgelist_beyond_graph6_order(self, tmp_path):
         src = tmp_path / "p70.txt"
         src.write_text(emit_edge_list(path_graph(70)))
         out = tmp_path / "out.csv"
         assert main(["compute", "--in", str(src), "--format", "edgelist",
-                     "--out", str(out), "--emit", "csv"]) == 0
+                     "--out", str(out)]) == 0
         rows = out.read_text().splitlines()
         assert len(rows) == 2
         assert rows[1].startswith("<n=70>,70,69,")
@@ -71,20 +71,40 @@ class TestCompute:
         src.write_text(emit_graph6(complete_graph(12)) + "\n")
         out = tmp_path / "out.json"
         assert main(["compute", "--in", str(src), "--format", "graph6",
-                     "--line-graph", "--out", str(out), "--emit", "json"]) == 0
+                     "--line-graph", "--out", str(out)]) == 0
         (record,) = json.loads(out.read_text())["records"]
         assert (record["graph_key"], record["graph6"], record["n"]) == ("<n=66>", "", 66)
+
+    @pytest.mark.parametrize("name", ["r.csv", "r.json", "r"])
+    def test_format_from_out_suffix(self, g6_file, tmp_path, name):
+        out = tmp_path / name
+        assert main(["compute", "--in", str(g6_file), "--format", "graph6",
+                     "--out", str(out)]) == 0
+        if name.endswith(".csv"):
+            header = out.read_text().splitlines()[0]
+            assert header == "graph_key,n,m,max_deg,min_deg,m1,m2,forgotten,harmonic,ga1,platt"
+        else:
+            assert len(json.loads(out.read_text())["records"]) == 2
+
+    def test_emit_option_is_gone(self, g6_file, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--in", str(g6_file), "--format", "graph6", "--out", str(out),
+                  "--emit", "csv"])
+        assert exc.value.code == 2
+        assert "--emit" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_parse_error_exit_code(self, tmp_path):
         src = tmp_path / "bad.g6"
         src.write_text("Bwx\n")
         out = tmp_path / "out.json"
         code = main(["compute", "--in", str(src), "--format", "graph6",
-                     "--out", str(out), "--emit", "json"])
+                     "--out", str(out)])
         assert code == 2
 
     @pytest.mark.parametrize("command", [
-        ["compute", "--format", "graph6", "--emit", "json", "--in"],
+        ["compute", "--format", "graph6", "--in"],
         ["verify", "--theorems", "T3", "--n-min", "1", "--n-max", "10", "--source"],
     ], ids=["compute", "verify"])
     def test_graph6_error_names_line_and_byte(self, tmp_path, capsys, command):
@@ -96,7 +116,7 @@ class TestCompute:
         assert "line 3" in err and "byte offset" in err
 
     @pytest.mark.parametrize("command", [
-        ["compute", "--format", "graph6", "--emit", "json", "--in"],
+        ["compute", "--format", "graph6", "--in"],
         ["verify", "--theorems", "T3", "--n-min", "1", "--n-max", "10", "--source"],
     ], ids=["compute", "verify"])
     def test_non_ascii_byte_names_line(self, tmp_path, capsys, command):
@@ -110,7 +130,7 @@ class TestCompute:
     def test_non_ascii_edge_list_names_line(self, tmp_path, capsys):
         src = tmp_path / "bad.txt"
         src.write_bytes(b"3\r\n0 1\r\n1 \xe9\n")
-        code = main(["compute", "--format", "edgelist", "--emit", "json", "--in", str(src),
+        code = main(["compute", "--format", "edgelist", "--in", str(src),
                      "--out", str(tmp_path / "out.json")])
         assert code == 2
         assert "line 3: non-ASCII byte 0xe9" in capsys.readouterr().err
@@ -122,7 +142,7 @@ class TestCompute:
         out = tmp_path / "out.csv"
         out.write_bytes(b"an earlier report\n")
         code = main(["compute", "--in", str(src), "--format", "graph6", "--line-graph",
-                     "--out", str(out), "--emit", "csv"])
+                     "--out", str(out)])
         assert code == 2
         assert "line 3: trailing garbage after payload (byte offset 2)" in capsys.readouterr().err
         assert out.read_bytes() == b"an earlier report\n"
@@ -139,13 +159,13 @@ class TestCompute:
         src.write_text(text)
         out = tmp_path / "out.csv"
         code = main(["compute", "--in", str(src), "--format", fmt, *extra,
-                     "--emit", "csv", "--out", str(out)])
+                     "--out", str(out)])
         assert code == 2
         assert f"error: graph {emit_graph6(refused)}: " in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [
-        ["compute", "--emit", "json", "--out", "{out}"],
+        ["compute", "--out", "{out}"],
         ["hyperbolicity"],
     ], ids=["compute", "hyperbolicity"])
     def test_huge_edge_list_vertex_count(self, tmp_path, capsys, command):
@@ -168,7 +188,7 @@ class TestComputePinned:
     def _digest(tmp_path, src, fmt, emit, *extra):
         out = tmp_path / f"out.{emit}"
         assert main(["compute", "--in", str(src), "--format", fmt, *extra,
-                     "--out", str(out), "--emit", emit]) == 0
+                     "--out", str(out)]) == 0
         return hashlib.sha256(out.read_bytes()).hexdigest()
 
     @pytest.mark.parametrize("emit,extra,digest", [
@@ -242,7 +262,7 @@ class TestVerify:
         ))) + "\n")
         computed, verified = tmp_path / "compute.json", tmp_path / "verify.json"
         assert main(["compute", "--in", str(src), "--format", "graph6",
-                     "--out", str(computed), "--emit", "json"]) == 0
+                     "--out", str(computed)]) == 0
         assert main(["verify", "--theorems", "all", "--n-min", "1", "--n-max", "62",
                      "--source", str(src), "--no-timestamp", "--out", str(verified)]) == 0
         (a,) = json.loads(computed.read_text())["records"]
@@ -274,7 +294,7 @@ class TestVerify:
         ["verify", "--theorems", "T42", "--n-min", "2", "--n-max", "4"],
         ["verify", "--theorems", "", "--n-min", "2", "--n-max", "4"],
         # fails on its second graph, an isolated vertex, after one record is spooled
-        ["compute", "--in", "{src}", "--format", "graph6", "--emit", "json"],
+        ["compute", "--in", "{src}", "--format", "graph6"],
     ], ids=["n-max-9", "T42", "no-theorems", "compute-mid-stream"])
     def test_refused_run_leaves_out_untouched(self, tmp_path, capsys, argv, existing):
         src = tmp_path / "in.g6"
@@ -295,7 +315,7 @@ class TestVerify:
     )
     @pytest.mark.parametrize("argv", [
         ["verify", "--theorems", "T1,T3", "--n-min", "1", "--n-max", "6"],
-        ["compute", "--in", "{src}", "--format", "graph6", "--emit", "json"],
+        ["compute", "--in", "{src}", "--format", "graph6"],
         ["enumerate", "--n", "6"],
     ], ids=["verify", "compute", "enumerate"])
     def test_unwritable_out_refused_before_any_record(self, tmp_path, capsys, monkeypatch,
@@ -446,7 +466,7 @@ def test_io_formats_loads_no_check_layer(tmp_path):
     # compute and hyperbolicity need neither the harness nor the theorem checks
     src = tmp_path / "in.g6"
     src.write_text(emit_graph6(cycle_graph(5)) + "\n" + emit_graph6(star_graph(4)) + "\n")
-    compute = ["compute", "--in", str(src), "--format", "graph6", "--emit", "csv"]
+    compute = ["compute", "--in", str(src), "--format", "graph6"]
     runs = [compute + ["--out", str(tmp_path / "g.csv")],
             compute + ["--line-graph", "--out", str(tmp_path / "lg.csv")],
             ["hyperbolicity", "--in", str(src), "--format", "graph6"]]
@@ -491,13 +511,11 @@ PUBLIC_NAMES = [
     "canonical_form", "check_T10_on_graph", "check_T11_harmonic_sandwich",
     "check_T1_m1_upper", "check_T2_ga_sum", "check_T3_line_identities", "check_T4_ga_platt",
     "check_T5_ga_hyperbolicity", "check_T6_ga_vs_m1", "check_T7_m1_line_identity",
-    "check_T8_ga_line_lower", "check_T9_harmonic_bounds", "complete_bipartite_graph",
-    "complete_graph", "components", "compute_index_vector", "cycle_graph", "disjoint_union",
+    "check_T8_ga_line_lower", "check_T9_harmonic_bounds", "components", "compute_index_vector",
     "emit_graph6", "enumerate_graphs", "enumerate_trees", "extremal_search",
     "hyperbolicity_constant", "hyperbolicity_upper_bound", "is_connected", "is_forest",
-    "is_isomorphic", "is_non_trivial", "parse_graph6", "path_graph", "read_graph_file",
-    "sample_gnp", "star_graph", "subdivided_distances", "verification_meta", "verify_records",
-    "write_report",
+    "is_non_trivial", "parse_graph6", "read_graph_file", "sample_gnp", "subdivided_distances",
+    "verification_meta", "verify_records", "write_report",
 ]
 
 
@@ -566,6 +584,40 @@ def test_verify_source_peak_memory_flat_in_graph_count(tmp_path):
         assert peaks_kb[1] - peaks_kb[0] < 4096, (command, peaks_kb)
 
 
+@pytest.mark.parametrize("command", [
+    ["hyperbolicity", "--format", "graph6", "--in"],
+    ["compute", "--format", "graph6", "--out", "{out}", "--in"],
+    ["verify", "--theorems", "all", "--n-min", "1", "--n-max", "62", "--no-timestamp",
+     "--out", "{out}", "--source"],
+], ids=["hyperbolicity", "compute", "verify"])
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_pipe_reads_as_the_file(tmp_path, command):
+    # every command reads its input once, so graphs fed on a real pipe give the
+    # bytes of the same file read from disk; a CSV report records no --source
+    text = "".join(emit_graph6(g) + "\n" for g in (cycle_graph(5), complete_graph(4), star_graph(5)))
+    src = tmp_path / "in.g6"
+    src.write_text(text)
+
+    def run(source, name, stdin=None):
+        out = tmp_path / name
+        argv = [arg.format(out=out) for arg in command] + [source]
+        result = subprocess.run([sys.executable, "-m", "topoline.cli", *argv], input=stdin,
+                                capture_output=True, text=True, env=_child_env(), timeout=120)
+        return result, out.read_bytes() if out.exists() else None
+
+    from_file, file_report = run(str(src), "file.csv")
+    from_pipe, pipe_report = run("/dev/stdin", "pipe.csv", text)
+    assert from_file.returncode == from_pipe.returncode == 0, from_pipe.stderr
+    assert (from_pipe.stdout, pipe_report) == (from_file.stdout, file_report)
+    if command[0] == "hyperbolicity":  # neither comparison is of two empty outputs
+        assert from_file.stdout.count(" delta=") == 3
+    else:
+        assert file_report
+    bad, bad_report = run("/dev/stdin", "bad.csv", text + "F?!\n")
+    assert (bad.returncode, bad.stdout, bad_report) == (2, "", None)
+    assert "line 4" in bad.stderr
+
+
 class TestHyperbolicity:
     def test_exact_value(self, tmp_path, capsys):
         src = tmp_path / "c4.g6"
@@ -581,18 +633,6 @@ class TestHyperbolicity:
         assert captured.out == ""
         assert "line 3: trailing garbage" in captured.err
 
-    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    def test_pipe_is_refused(self, tmp_path):
-        # graph6 input is read twice, and a pipe reads empty the second time;
-        # run in a child, because opening a pipe with no writer blocks
-        fifo = tmp_path / "in.g6"
-        os.mkfifo(fifo)
-        result = subprocess.run(
-            [sys.executable, "-m", "topoline.cli", "hyperbolicity", "--in", str(fifo),
-             "--format", "graph6"], capture_output=True, text=True, env=_child_env(), timeout=60)
-        assert (result.returncode, result.stdout) == (2, "")
-        assert "must name a regular file" in result.stderr
-
     def test_cap_fallback(self, tmp_path, capsys):
         src = tmp_path / "p9.txt"
         src.write_text(emit_edge_list(path_graph(9)))
@@ -600,6 +640,21 @@ class TestHyperbolicity:
                      "--cap", "8"])
         assert code == 0
         assert "m/4" in capsys.readouterr().out
+
+    def test_work_budget_line(self, tmp_path, capsys, monkeypatch):
+        # K40 at --cap 40 needs 4.64 G search-table cells: refused before any
+        # lattice is built, with the m/4 bound and the reason
+        def unreachable(*args):
+            raise AssertionError("the lattice was built past the work budget")
+
+        monkeypatch.setattr("topoline.hyperbolicity.subdivided_distances", unreachable)
+        src = tmp_path / "k40.g6"
+        src.write_text(emit_graph6(complete_graph(40)) + "\n")
+        assert main(["hyperbolicity", "--in", str(src), "--format", "graph6", "--cap", "40"]) == 0
+        assert capsys.readouterr().out == (
+            f"{emit_graph6(complete_graph(40))} delta<=m/4=195/1 "
+            "(exact computation past its work budget)\n"
+        )
 
     def test_negative_cap_is_usage_error(self, tmp_path, capsys):
         src = tmp_path / "p9.txt"
@@ -613,7 +668,6 @@ class TestHyperbolicity:
 
 class TestExtremalAndEnumerate:
     def test_extremal_prints_graph6(self, capsys):
-        from topoline.graph_core import is_isomorphic
         from topoline.io_formats import parse_graph6
 
         code = main(["extremal", "--index", "harmonic", "--objective", "max",

@@ -8,7 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graphs, permute
+from conftest import (
+    complete_bipartite_graph,
+    complete_graph,
+    cycle_graph,
+    disjoint_union,
+    graphs,
+    is_isomorphic,
+    path_graph,
+    permute,
+    star_graph,
+)
 from oracles import brute_canonical_key, degree_component_oracle
 from topoline.graph_core import (
     CanonicalCapError,
@@ -17,17 +27,10 @@ from topoline.graph_core import (
     all_regular,
     all_regular_or_biregular,
     canonical_form,
-    complete_bipartite_graph,
-    complete_graph,
     components,
-    cycle_graph,
-    disjoint_union,
     is_connected,
     is_forest,
-    is_isomorphic,
     is_non_trivial,
-    path_graph,
-    star_graph,
 )
 from topoline.line_graph import line_graph
 

@@ -6,15 +6,8 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
-from conftest import write_verified
-from topoline.graph_core import (
-    Graph,
-    canonical_form,
-    cycle_graph,
-    is_isomorphic,
-    path_graph,
-    star_graph,
-)
+from conftest import cycle_graph, is_isomorphic, path_graph, star_graph, write_verified
+from topoline.graph_core import Graph, canonical_form
 from topoline.harness import (
     EnumerationCapError,
     EnumerationSpec,

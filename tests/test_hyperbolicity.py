@@ -7,18 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import connected_graphs, graphs
-from oracles import bfs_distances, delta_oracle, subdivision_lattice
-from topoline.graph_core import (
-    Graph,
+from conftest import (
     complete_bipartite_graph,
     complete_graph,
+    connected_graphs,
     cycle_graph,
     disjoint_union,
-    is_forest,
+    graphs,
     path_graph,
     star_graph,
 )
+from oracles import bfs_distances, delta_oracle, subdivision_lattice
+from topoline.graph_core import Graph, is_forest
 from topoline.harness import EnumerationSpec, enumerate_graphs, enumerate_trees
 from topoline.hyperbolicity import (
     HyperbolicityCapError,
@@ -126,6 +126,16 @@ class TestHyperbolicityKnownValues:
     def test_disconnected_takes_component_max(self):
         g = disjoint_union(path_graph(3), cycle_graph(5))
         assert hyperbolicity_constant(g).delta == Fraction(5, 4)
+
+    def test_work_budget_refused_before_the_lattice(self, monkeypatch):
+        # K40 at cap 40 needs 4.64 G search-table cells, far past the budget;
+        # the refusal must come before any lattice is allocated
+        def unreachable(*args):
+            raise AssertionError("the lattice was built past the work budget")
+
+        monkeypatch.setattr("topoline.hyperbolicity.subdivided_distances", unreachable)
+        with pytest.raises(HyperbolicityCapError, match="work budget .*m/4"):
+            hyperbolicity_constant(complete_graph(40), cap=40)
 
     def test_cap_error_directs_to_fallback(self):
         with pytest.raises(HyperbolicityCapError, match="m/4"):

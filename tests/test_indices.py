@@ -7,22 +7,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import connected_graphs, graphs
+from conftest import (
+    complete_graph,
+    connected_graphs,
+    cycle_graph,
+    disjoint_union,
+    graphs,
+    path_graph,
+    star_graph,
+)
 from oracles import (
     all_edges_degree_equal,
     evaluate_vdb_index,
     harmonic_of_path,
     index_vector_oracle,
 )
-from topoline.graph_core import (
-    Graph,
-    complete_graph,
-    cycle_graph,
-    disjoint_union,
-    is_non_trivial,
-    path_graph,
-    star_graph,
-)
+from topoline.graph_core import Graph, is_non_trivial
 from topoline.indices import IsolatedVertexError, compute_index_vector
 from topoline.line_graph import line_graph
 

@@ -7,16 +7,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import emit_edge_list, graphs, parse_edge_list, write_verified
-from oracles import aggregates_oracle, graph6_oracle, report_csv_oracle, report_json_oracle
-from topoline.graph_core import (
-    Graph,
-    canonical_form,
+from conftest import (
     complete_graph,
     cycle_graph,
+    emit_edge_list,
+    graphs,
+    parse_edge_list,
     path_graph,
     star_graph,
+    write_verified,
 )
+from oracles import aggregates_oracle, graph6_oracle, report_csv_oracle, report_json_oracle
+from topoline.graph_core import Graph, canonical_form
 from topoline.harness import EnumerationSpec, sample_gnp, verification_meta, verify_records
 from topoline.indices import compute_index_vector
 from topoline.io_formats import (

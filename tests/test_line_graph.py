@@ -1,19 +1,18 @@
 import pytest
 from hypothesis import given
 
-from conftest import nontrivial_graphs
-from oracles import line_graph_oracle
-from topoline.graph_core import (
-    Graph,
+from conftest import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     disjoint_union,
     is_isomorphic,
-    is_non_trivial,
+    nontrivial_graphs,
     path_graph,
     star_graph,
 )
+from oracles import line_graph_oracle
+from topoline.graph_core import Graph, is_non_trivial
 from topoline.indices import compute_index_vector
 from topoline.io_formats import emit_graph6
 from topoline.line_graph import TrivialComponentError, line_graph

@@ -6,17 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import connected_graphs, nontrivial_graphs
-from oracles import check_to_dict, t10_sums_oracle
-from topoline.graph_core import (
-    Graph,
+from conftest import (
     complete_graph,
+    connected_graphs,
     cycle_graph,
     disjoint_union,
-    is_connected,
+    nontrivial_graphs,
     path_graph,
     star_graph,
 )
+from oracles import check_to_dict, t10_sums_oracle
+from topoline.graph_core import Graph, is_connected
 from topoline.theorems import (
     GRAPH_CHECKS,
     check_T1_m1_upper,
