@@ -18,8 +18,8 @@ from conftest import (
     star_graph,
 )
 from oracles import bfs_distances, delta_oracle, subdivision_lattice
-from topoline.graph_core import Graph, is_forest
-from topoline.harness import EnumerationSpec, enumerate_graphs, enumerate_trees
+from topoline.graph_core import Graph, is_connected, is_forest
+from topoline.harness import EnumerationSpec, enumerate_graphs, enumerate_trees, sample_gnp
 from topoline.hyperbolicity import (
     HyperbolicityCapError,
     MetricPoint,
@@ -227,6 +227,21 @@ class TestStructuralInvariants:
                 hyperbolicity_constant(g, granularity=4).delta
                 == hyperbolicity_constant(g, granularity=8).delta
             )
+
+    def test_granularity_stability_past_the_cap(self):
+        # seeded G(n, 3/(n-1)) draws with 12 <= n <= 24, past the default cap
+        checked = 0
+        for s in range(39):
+            n = 12 + s % 13
+            g = sample_gnp(n, Fraction(3, n - 1), s)
+            if not is_connected(g) or is_forest(g):
+                continue
+            coarse = hyperbolicity_constant(g, granularity=4, cap=n)
+            fine = hyperbolicity_constant(g, granularity=8, cap=n)
+            assert coarse.delta == fine.delta, emit_graph6(g)
+            assert not coarse.rounded_up and not fine.rounded_up, emit_graph6(g)
+            checked += 1
+        assert checked == 24
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_trees_and_only_trees_are_zero(self, n):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from conftest import (
 )
 from oracles import check_to_dict, t10_sums_oracle
 from topoline.graph_core import Graph, is_connected
+from topoline.harness import EnumerationSpec, verify_records
 from topoline.theorems import (
     GRAPH_CHECKS,
     check_T1_m1_upper,
@@ -134,6 +136,23 @@ class TestT5:
     def test_cap_not_applicable(self):
         r = check_T5_ga_hyperbolicity(cycle_graph(9))
         assert not r.applicable and "cap" in r.reason
+
+    def test_survey_through_n6(self):
+        # the delta survey read off the T5 records of the connected graphs with
+        # 3 <= n <= 6: the graph count, the delta distribution, the graphs where
+        # delta = m/4 and the least slack of the GA1(L(G)) bound
+        surveyed = []
+        for rec in verify_records(EnumerationSpec(3, 6, connected_only=True), ("T5",)):
+            (t5,) = rec.checks
+            if t5.applicable:
+                surveyed.append((rec, Fraction(t5.reason.removeprefix("delta=")), t5))
+        assert len(surveyed) == 129
+        assert Counter(delta for _, delta, _ in surveyed) == {
+            Fraction(3, 4): 16, 1: 48, Fraction(5, 4): 55, Fraction(3, 2): 10}
+        assert [rec.graph6 for rec, delta, _ in surveyed if delta == Fraction(rec.m, 4)] == [
+            "Bw", "C]", "DUW", "EEh_"]
+        rec, delta, t5 = min(surveyed, key=lambda s: s[2].slack)
+        assert (rec.graph6, delta, f"{t5.slack:.12g}") == ("Bw", Fraction(3, 4), "1.11438191684")
 
 
 class TestT6:
